@@ -74,7 +74,8 @@ func main() {
 
 	var httpSrv *http.Server
 	if *httpAddr != "" {
-		httpSrv = &http.Server{Addr: *httpAddr, Handler: srv.HTTPHandler()}
+		httpSrv = &http.Server{Addr: *httpAddr, Handler: srv.HTTPHandler(),
+			ReadHeaderTimeout: server.ReadHeaderTimeout}
 		go func() {
 			log.Printf("HTTP/JSON facade on %s (/query /exec /explain /stats /healthz /metrics /trace /slowlog)", *httpAddr)
 			if err := httpSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {

@@ -34,7 +34,6 @@ import (
 	"ghostdb/internal/flash"
 	"ghostdb/internal/index"
 	"ghostdb/internal/obs"
-	"ghostdb/internal/pagecache"
 	"ghostdb/internal/schema"
 	"ghostdb/internal/sqlparse"
 )
@@ -155,9 +154,9 @@ type Options struct {
 	// materialized results in *untrusted host RAM*, so it is not charged
 	// against the secure RAMBytes budget. A cache hit answers without
 	// admitting a session: zero flash I/O and zero bytes on the token
-	// bus. A successful Exec (INSERT) invalidates exactly the cached
-	// results whose queries touch the inserted table's shard (per-shard
-	// version vector).
+	// bus. A successful Exec (INSERT, UPDATE or DELETE) invalidates
+	// exactly the cached results whose queries touch the written table's
+	// shard (per-shard version vector).
 	ResultCacheBytes int
 	// PageCacheBytes bounds the untrusted-side page cache (0 disables
 	// it): a buffer pool below the result cache that retains computed
@@ -169,9 +168,6 @@ type Options struct {
 	// same per-shard committed-write versions as the result cache, so
 	// hits and misses are a pure function of public state.
 	PageCacheBytes int
-	// PageCachePolicy selects the page-cache eviction policy: "lru"
-	// (default) or "clock".
-	PageCachePolicy string
 	// BusAuditEntries bounds each token's bus audit trail: 0 (default)
 	// keeps the full trail (tests and forensics), n > 0 keeps a ring of
 	// the most recent n records, and negative disables recording
@@ -225,7 +221,6 @@ func (o Options) toExec() exec.Options {
 	eo.MaxConcurrentQueries = o.MaxConcurrentQueries
 	eo.ResultCacheBytes = o.ResultCacheBytes
 	eo.PageCacheBytes = o.PageCacheBytes
-	eo.PageCachePolicy = o.PageCachePolicy
 	eo.BusAuditEntries = o.BusAuditEntries
 	eo.Shards = o.Shards
 	eo.SlowQueryThreshold = o.SlowQueryThreshold
@@ -345,7 +340,6 @@ func WithRAMBuffers(min, want int) QueryOption {
 // shift — so long-lived statements over fast-changing tables are worth
 // re-preparing occasionally.
 type Stmt struct {
-	cfg   exec.QueryConfig
 	inner *exec.Stmt
 }
 
@@ -357,12 +351,11 @@ func (db *DB) Prepare(sql string) (*Stmt, error) {
 	if !db.loaded.Load() {
 		return nil, errors.New("ghostdb: load data first (Loader / Commit)")
 	}
-	cfg := db.inner.DefaultConfig()
-	inner, err := db.inner.Prepare(sql, cfg)
+	inner, err := db.inner.Prepare(sql, exec.QueryConfig{})
 	if err != nil {
 		return nil, err
 	}
-	return &Stmt{cfg: cfg, inner: inner}, nil
+	return &Stmt{inner: inner}, nil
 }
 
 // Plan returns the statement's execution plan: per-table strategies,
@@ -379,7 +372,7 @@ func (s *Stmt) Explain() string { return s.inner.Plan().Explain() }
 // admission floor or cap the elastic want, but never push the grant
 // below the plan's derived minimum.
 func (s *Stmt) Run(ctx context.Context, opts ...QueryOption) (*Result, error) {
-	cfg := s.cfg
+	var cfg exec.QueryConfig
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -415,7 +408,7 @@ func (db *DB) QueryCtx(ctx context.Context, sql string, opts ...QueryOption) (*R
 	if !db.loaded.Load() {
 		return nil, errors.New("ghostdb: load data first (Loader / Commit)")
 	}
-	cfg := db.inner.DefaultConfig()
+	var cfg exec.QueryConfig
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -440,7 +433,7 @@ func (db *DB) ExecCtx(ctx context.Context, sql string) error {
 	if !db.loaded.Load() {
 		return errors.New("ghostdb: load data first (Loader / Commit)")
 	}
-	_, err := db.inner.RunCtx(ctx, sql, db.inner.DefaultConfig())
+	_, err := db.inner.RunCtx(ctx, sql, exec.QueryConfig{})
 	return err
 }
 
@@ -466,22 +459,6 @@ type DeltaStats = exec.DeltaStats
 // values are declassified mirrors maintained at commit and compaction
 // time — reading them never touches hidden state.
 func (db *DB) ShardDeltaStats() []DeltaStats { return db.inner.TokenDeltaStats() }
-
-// ForceStrategy overrides the planner default for experiments; pass
-// StrategyAuto to restore normal planning. It only affects queries
-// submitted afterwards — running queries keep the config they
-// snapshotted.
-//
-// Deprecated: a DB-wide mutable knob cannot be reasoned about under
-// concurrent sessions and bypasses the inspectable plan. Use the
-// per-query WithStrategy option, or Prepare a Stmt and check its Plan.
-func (db *DB) ForceStrategy(s Strategy) { db.inner.SetForceStrategy(s) }
-
-// SetProjector selects the default projection algorithm.
-//
-// Deprecated: same reasoning as ForceStrategy — use the per-query
-// WithProjector option, or Prepare a Stmt and check its Plan.
-func (db *DB) SetProjector(p Projector) { db.inner.SetProjector(p) }
 
 // SetThroughput changes the modeled USB link speed in MB/s. Safe under
 // concurrent sessions: each query session snapshots the speed when it
@@ -523,7 +500,7 @@ func (db *DB) DescribePlacement() string {
 func (db *DB) CacheStats() CacheStats { return db.inner.CacheStats() }
 
 // PageCacheStats reports the page cache's counters (db.PageCacheStats).
-type PageCacheStats = pagecache.Stats
+type PageCacheStats = cache.Stats
 
 // PageCacheStats snapshots the page cache's counters: frames, bytes,
 // hits, misses, evictions and invalidations. The zero value is returned

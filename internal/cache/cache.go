@@ -1,38 +1,42 @@
-// Package cache is the untrusted-side result cache: materialized query
-// answers keyed on the *normalized query text*, bounded in bytes by an
-// LRU policy, invalidated by a per-shard data-version vector that every
-// committed update bumps for the one shard it touched, and fronted by a
-// singleflight layer that collapses concurrent identical lookups into
-// one computation.
+// Package cache is GhostDB's one untrusted-side pool: a byte-bounded
+// LRU of opaque values keyed on text, stamped with a per-shard data
+// version vector that committed writes advance, and fronted by a
+// singleflight layer (Do) that collapses concurrent identical lookups
+// into one computation. The engine runs two instances of it: the result
+// cache (materialized answers keyed on normalized query text,
+// Options.ResultCacheBytes) and the page cache (encoded visible runs
+// keyed on canonical per-table predicate text, Options.PageCacheBytes).
 //
-// Security invariant (why this cache is leak-free by construction):
+// Security invariant (why both pools are leak-free by construction):
 // GhostDB's guarantee is that the only information that ever leaves the
-// secure perimeter is the query text itself (§1 of the paper). The cache
-// key is a normalization of exactly that text, and the cached values are
-// query results — data the untrusted side has, by definition, already
-// seen once. A cache hit therefore reveals nothing an observer of the
-// query stream did not already know; it only *removes* secure-token
-// round-trips. In the volume-leakage sense of Poddar et al., hits repeat
-// a (query, result-volume) pair the adversary has already observed —
-// the cache never creates a new observable pair.
+// secure perimeter is the query text itself (§1 of the paper). Every
+// key here is a normalization of that text — the whole query for the
+// result cache, one table's predicate and projection for the page
+// cache — and every value is a pure function of that text and data the
+// untrusted side already holds: answers it has been handed once, or
+// runs computed from the visible partition it owns. Whether a lookup
+// hits is therefore predictable from the public query history plus the
+// committed-write versions, and a hit only *removes* secure-token work.
+// In the volume-leakage sense of Poddar et al., a hit repeats a (query,
+// volume) pair the observer has already seen; the pools never create a
+// new observable pair.
 //
-// The same argument covers the per-shard version vector: an entry is
-// stamped with the versions of exactly the shards its query touches,
-// and the shard set is a pure function of the query text and the schema
-// (which tables the query names, and which token each table was placed
-// on). Versions advance on committed INSERTs — statements the untrusted
-// side itself submitted — so neither the stamps nor the invalidations
+// The same argument covers the version vector: an entry is stamped
+// with the versions of exactly the shards its key touches, and that
+// shard set is a pure function of the query text and the schema (which
+// tables the query names, and which token each table was placed on).
+// Versions advance on committed writes — statements the untrusted side
+// itself submitted — so neither the stamps nor the invalidations
 // depend on hidden data.
 //
-// RAM invariant: cache memory is untrusted host RAM. It is *not* charged
+// RAM invariant: pool memory is untrusted host RAM. It is *not* charged
 // against the secure chip's 64KB budget (ram.Manager) — the whole point
 // is to spend plentiful untrusted memory to save the scarce secure
 // resources (token RAM, flash I/O and the USB link).
 //
-// The cache is value-agnostic: it stores opaque values with a caller-
-// provided byte size, so it does not depend on the executor's types.
-// Cached values are shared between all readers and MUST be treated as
-// immutable by every holder.
+// Values carry a caller-provided byte size, so the package does not
+// depend on the executor's types. Cached values are shared between all
+// readers and MUST be treated as immutable by every holder.
 package cache
 
 import (
@@ -69,37 +73,32 @@ func (o Outcome) String() string {
 
 // Stats is a snapshot of the cache's counters.
 type Stats struct {
-	Entries       int   `json:"entries"`
-	Bytes         int64 `json:"bytes"`
-	CapacityBytes int64 `json:"capacity_bytes"`
-	// Version is a monotone global stamp: the sum of every shard's
-	// version plus the wholesale-invalidation epoch.
-	Version uint64 `json:"version"`
-	// ShardVersions is the per-shard data-version vector (index = shard).
-	ShardVersions []uint64 `json:"shard_versions,omitempty"`
-	Hits          uint64   `json:"hits"`
-	SharedHits    uint64   `json:"shared_hits"`
-	Misses        uint64   `json:"misses"`
-	Stores        uint64   `json:"stores"`
-	Evictions     uint64   `json:"evictions"`
-	Invalidations uint64   `json:"invalidations"`
+	Entries       int    `json:"entries"`
+	Bytes         int64  `json:"bytes"`
+	CapacityBytes int64  `json:"capacity_bytes"`
+	Hits          uint64 `json:"hits"`
+	SharedHits    uint64 `json:"shared_hits"`
+	Misses        uint64 `json:"misses"`
+	Stores        uint64 `json:"stores"`
+	Evictions     uint64 `json:"evictions"`
+	Invalidations uint64 `json:"invalidations"`
 }
 
 // entry is one cached value, stamped with the versions of the shards its
-// query touches (parallel slices shards/stamp) plus the global epoch.
+// key touches (parallel slices shards/stamp).
 type entry struct {
 	key    string
 	val    any
 	size   int64
 	shards []int
-	stamp  []uint64 // stamp[0] = epoch, stamp[i+1] = version of shards[i]
+	stamp  []uint64
 }
 
 // flight is one in-progress computation that concurrent identical calls
 // can attach to.
 type flight struct {
 	shards []int
-	stamp  []uint64      // as in entry: epoch first, then per-shard versions
+	stamp  []uint64      // as in entry
 	done   chan struct{} // closed when val/err are set
 	val    any
 	err    error
@@ -116,7 +115,6 @@ type Cache struct {
 	entries  map[string]*list.Element
 	flights  map[string]*flight
 	versions []uint64 // per-shard data versions, grown on demand
-	epoch    uint64   // wholesale-invalidation epoch (Bump)
 
 	hits, shared, misses, stores, evictions, invalidations uint64
 }
@@ -143,19 +141,17 @@ func normShards(shards []int) []int {
 }
 
 func (c *Cache) verLocked(shard int) uint64 {
-	if shard < len(c.versions) {
+	if shard >= 0 && shard < len(c.versions) {
 		return c.versions[shard]
 	}
 	return 0
 }
 
-// stampLocked snapshots the invalidation epoch followed by the current
-// versions of the given shards.
+// stampLocked snapshots the current versions of the given shards.
 func (c *Cache) stampLocked(shards []int) []uint64 {
-	out := make([]uint64, len(shards)+1)
-	out[0] = c.epoch
+	out := make([]uint64, len(shards))
 	for i, s := range shards {
-		out[i+1] = c.verLocked(s)
+		out[i] = c.verLocked(s)
 	}
 	return out
 }
@@ -170,54 +166,24 @@ func (c *Cache) Stamp(shards []int) []uint64 {
 }
 
 func (c *Cache) freshLocked(shards []int, stamp []uint64) bool {
-	if len(stamp) != len(shards)+1 || stamp[0] != c.epoch {
+	if len(stamp) != len(shards) {
 		return false
 	}
 	for i, s := range shards {
-		if stamp[i+1] != c.verLocked(s) {
+		if stamp[i] != c.verLocked(s) {
 			return false
 		}
 	}
 	return true
 }
 
-// versionLocked is the monotone global stamp: the sum of the per-shard
-// versions plus the wholesale-invalidation epoch.
-func (c *Cache) versionLocked() uint64 {
-	v := c.epoch
-	for _, s := range c.versions {
-		v += s
-	}
-	return v
-}
-
-// Version returns the monotone global stamp.
-func (c *Cache) Version() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.versionLocked()
-}
-
-// Bump invalidates every cached entry regardless of shard (wholesale).
-// In-progress computations that started before the bump are prevented
-// from storing their (possibly stale) results, and later Do calls will
-// not join their flights.
-func (c *Cache) Bump() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.epoch++
-	c.invalidations++
-	c.ll.Init()
-	clear(c.entries)
-	c.bytes = 0
-}
-
-// BumpShard advances one shard's data version: committed updates call it
-// for the shard that owns the inserted table, after their mutations are
-// visible. Only entries whose query touches that shard are dropped —
-// cached results over other shards survive, which is what makes INSERT
-// fan-out cheap in a sharded deployment. In-flight computations touching
-// the shard are prevented from storing their results.
+// BumpShard advances one shard's data version: committed writes call it
+// for the shard that owns the written table, after their mutations are
+// visible. Only entries whose key touches that shard are dropped —
+// entries over other shards survive, which is what makes write fan-out
+// cheap in a sharded deployment. In-flight computations touching the
+// shard are prevented from storing their results, and later Do calls
+// do not join their flights.
 func (c *Cache) BumpShard(shard int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -387,8 +353,6 @@ func (c *Cache) Stats() Stats {
 		Entries:       len(c.entries),
 		Bytes:         c.bytes,
 		CapacityBytes: c.cap,
-		Version:       c.versionLocked(),
-		ShardVersions: append([]uint64(nil), c.versions...),
 		Hits:          c.hits,
 		SharedHits:    c.shared,
 		Misses:        c.misses,

@@ -307,7 +307,7 @@ func TestConcurrentDMLShardCacheInvalidation(t *testing.T) {
 // TestExplainDML renders a DML plan without executing it.
 func TestExplainDML(t *testing.T) {
 	f := newFixture(t, 9, map[string]int{"T0": 50, "T1": 20, "T2": 20, "T11": 10, "T12": 10})
-	stmt, err := f.db.Prepare("DELETE FROM T1 WHERE T1.h1 = '0000000004'", f.db.DefaultConfig())
+	stmt, err := f.db.Prepare("DELETE FROM T1 WHERE T1.h1 = '0000000004'", QueryConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,7 +15,6 @@ import (
 	"ghostdb/internal/index"
 	"ghostdb/internal/metrics"
 	"ghostdb/internal/obs"
-	"ghostdb/internal/pagecache"
 	"ghostdb/internal/query"
 	"ghostdb/internal/ram"
 	"ghostdb/internal/sched"
@@ -125,17 +124,6 @@ const DefaultSLOTarget = 25 * time.Millisecond
 // background compaction (Options.CompactThreshold).
 const DefaultCompactThreshold = 64
 
-// DefaultSessionMinBuffers was the blind admission floor used before the
-// grant-aware planner: every session requested 8 buffers regardless of
-// its real footprint, so wide queries could still die mid-run and narrow
-// ones were denied overlap they could safely have had.
-//
-// Deprecated: admission is now sized from Plan.MinBuffers, the true
-// per-plan minimum derived by PlanQuery before admission. The constant
-// remains only as a reference point for experiments comparing the two
-// admission policies.
-const DefaultSessionMinBuffers = 8
-
 // Options configures a DB.
 type Options struct {
 	FlashParams    flash.Params
@@ -143,8 +131,6 @@ type Options struct {
 	ThroughputMBps float64 // USB link speed (default 1.5)
 	Model          metrics.Model
 	Variant        index.Variant
-	ForceStrategy  Strategy  // default forced strategy for queries that do not override it
-	Projector      Projector // default projection algorithm
 	// MaxConcurrentQueries bounds the query sessions admitted at once
 	// (default DefaultMaxConcurrentQueries; values below 1 mean 1).
 	MaxConcurrentQueries int
@@ -159,11 +145,8 @@ type Options struct {
 	// token-retained spools so a repeated run ships a fixed header
 	// instead of its full payload. Like the result cache it is host RAM,
 	// never charged against the secure budget, and leak-free by
-	// construction (see internal/pagecache).
+	// construction (see internal/cache).
 	PageCacheBytes int
-	// PageCachePolicy selects the page-cache eviction policy: "lru" (the
-	// default) or "clock".
-	PageCachePolicy string
 	// BusAuditEntries bounds each token bus's payload audit trail: 0 (the
 	// default) keeps the full unbounded trail byte-parity tests rely on,
 	// n > 0 keeps a ring of the most recent n records, and negative
@@ -325,10 +308,10 @@ type DB struct {
 	cache *cache.Cache
 
 	// pages is the untrusted-side page cache (nil when disabled): the
-	// buffer pool under the result cache, shared by every token's
-	// untrusted engine and invalidated by the same per-shard committed-
-	// write bumps as the result cache.
-	pages *pagecache.Cache
+	// second instance of the same pool, under the result cache: shared by
+	// every token's untrusted engine and invalidated by the same per-shard
+	// committed-write bumps.
+	pages *cache.Cache
 
 	// reg/inst/slow are the telemetry layer (internal/obs): the metric
 	// registry and its engine instruments always exist and collect
@@ -346,11 +329,9 @@ type DB struct {
 	// ghostdb_prefetch_inflight metric).
 	prefetchInflight atomic.Int64
 
-	// mu guards the mutable engine state that outlives a single query:
-	// the default QueryConfig and the client-level cumulative totals
-	// (per-token totals live on each Token).
+	// mu guards the client-level cumulative totals (per-token totals
+	// live on each Token).
 	mu     sync.Mutex
-	defCfg QueryConfig
 	totals Totals
 }
 
@@ -375,10 +356,9 @@ type TableLoad struct {
 func NewDB(sch *schema.Schema, opts Options) (*DB, error) {
 	opts = opts.withDefaults()
 	db := &DB{
-		Sch:    sch,
-		opts:   opts,
-		defCfg: QueryConfig{Strategy: opts.ForceStrategy, Projector: opts.Projector},
-		start:  time.Now(),
+		Sch:   sch,
+		opts:  opts,
+		start: time.Now(),
 	}
 	var trees []shard.Tree
 	for _, r := range sch.Roots() {
@@ -423,11 +403,7 @@ func NewDB(sch *schema.Schema, opts Options) (*DB, error) {
 		db.cache = cache.New(int64(opts.ResultCacheBytes))
 	}
 	if opts.PageCacheBytes > 0 {
-		var pol pagecache.Policy
-		if opts.PageCachePolicy == "clock" {
-			pol = pagecache.NewClock()
-		}
-		db.pages = pagecache.New(int64(opts.PageCacheBytes), pol)
+		db.pages = cache.New(int64(opts.PageCacheBytes))
 		for _, tok := range db.tokens {
 			tok.Untr.SetPageCache(db.pages, tok.id)
 		}
@@ -501,31 +477,6 @@ func (db *DB) tokenForTables(tables []int) (*Token, error) {
 
 // Options returns the effective options.
 func (db *DB) Options() Options { return db.opts }
-
-// DefaultConfig returns the configuration applied to queries that do not
-// carry their own (a snapshot; later Set* calls do not affect it).
-func (db *DB) DefaultConfig() QueryConfig {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.defCfg
-}
-
-// SetForceStrategy overrides the planner for subsequent queries that use
-// the default configuration. Queries already running are unaffected:
-// they snapshotted their config at submission.
-func (db *DB) SetForceStrategy(s Strategy) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.defCfg.Strategy = s
-}
-
-// SetProjector selects the projection algorithm for subsequent queries
-// that use the default configuration.
-func (db *DB) SetProjector(p Projector) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.defCfg.Projector = p
-}
 
 // SetThroughput adjusts the modeled link speed of every token's bus
 // (Figure 14). Safe under concurrent sessions: the channel knob is
@@ -758,15 +709,15 @@ func (db *DB) mergeTotals(st Stats) {
 	db.totals.BusUp += st.BusUp
 }
 
-// Run parses and executes one SQL statement under the default
+// Run parses and executes one SQL statement under the zero
 // configuration (the mono-user entry point; safe to call concurrently).
 func (db *DB) Run(sql string) (*Result, error) {
-	return db.RunCtx(context.Background(), sql, db.DefaultConfig())
+	return db.RunCtx(context.Background(), sql, QueryConfig{})
 }
 
 // Stmt is a prepared statement: the parsed, resolved and planned form of
-// one SQL statement. Prepare is the single planning path — Run, RunCtx
-// and SelectCtx all go through it — so the plan a caller inspects is
+// one SQL statement. Prepare is the single planning path — DB.RunCtx is
+// Prepare followed by Stmt.RunCtx — so the plan a caller inspects is
 // exactly the plan admission will use. A Stmt is safe for concurrent
 // RunCtx calls with the configuration it was prepared under.
 type Stmt struct {
@@ -787,16 +738,12 @@ func (db *DB) Prepare(sql string, cfg QueryConfig) (*Stmt, error) {
 	if !db.loaded {
 		return nil, errors.New("exec: database not loaded")
 	}
+	parseSp := cfg.Trace.Root().Start("parse")
 	stmt, err := sqlparse.Parse(sql)
+	parseSp.End()
 	if err != nil {
 		return nil, err
 	}
-	return db.prepareParsed(stmt, sql, cfg)
-}
-
-// prepareParsed is Prepare after parsing, so callers that already hold
-// the AST (RunCtx) do not parse twice.
-func (db *DB) prepareParsed(stmt sqlparse.Statement, sql string, cfg QueryConfig) (*Stmt, error) {
 	switch st := stmt.(type) {
 	case *sqlparse.Select:
 		resolveSp := cfg.Trace.Root().Start("resolve")
@@ -859,8 +806,17 @@ func (s *Stmt) Plan() *Plan { return s.plan }
 // RunCtx executes the prepared statement. Admission is sized from the
 // plan's derived floor (raised, never lowered, by cfg.MinBuffers); a
 // configuration whose strategy or projector differs from the prepared
-// one replans first, since those knobs change the plan itself.
+// one replans first, since those knobs change the plan itself. Each call
+// counts once in the client-level SLO window.
 func (s *Stmt) RunCtx(ctx context.Context, cfg QueryConfig) (*Result, error) {
+	start := s.db.enterSLO()
+	res, err := s.run(ctx, cfg)
+	s.db.leaveSLO(start, err)
+	return res, err
+}
+
+// run is RunCtx minus the client-level SLO bookkeeping.
+func (s *Stmt) run(ctx context.Context, cfg QueryConfig) (*Result, error) {
 	if s.ins != nil {
 		return s.db.runInsert(ctx, *s.ins, s.plan, cfg)
 	}
@@ -879,55 +835,50 @@ func (s *Stmt) RunCtx(ctx context.Context, cfg QueryConfig) (*Result, error) {
 		}
 	}
 	if s.db.cache != nil {
-		return s.db.runSelectCached(ctx, s.sel, plan, cfg, key)
+		return s.db.cachedSelect(ctx, cfg.Trace, key, s.db.shardsOf(s.sel), func() (*Result, error) {
+			return s.db.runSelect(ctx, s.sel, plan, cfg)
+		})
 	}
 	return s.db.runSelect(ctx, s.sel, plan, cfg)
 }
 
 // RunCtx parses, plans and executes one SQL statement with a per-query
-// configuration (prepare-then-run). The call blocks in the FIFO
+// configuration: Prepare, then Stmt.RunCtx. The call blocks in the FIFO
 // admission queue until the plan's RAM floor and a concurrency slot are
 // free; cancelling ctx while queued abandons the request without having
 // reserved anything. Once execution has started it runs to completion
 // (the simulated hardware is synchronous).
 //
-// With the result cache enabled, SELECTs consult it before planning:
-// a hit pays only parse+resolve (the key derivation) — no plan-time
-// selectivity scans and no token work.
+// With the result cache enabled, a SELECT is planned and then looked up:
+// a hit pays parse, resolve and plan (planning meters nothing) but no
+// token work. The statement's wall latency in the SLO window runs from
+// entry here, so it covers planning too.
 func (db *DB) RunCtx(ctx context.Context, sql string, cfg QueryConfig) (*Result, error) {
-	if !db.loaded {
-		return nil, errors.New("exec: database not loaded")
+	start := db.enterSLO()
+	s, err := db.Prepare(sql, cfg)
+	var res *Result
+	if err == nil {
+		res, err = s.run(ctx, cfg)
 	}
-	// Client-level SLO bookkeeping: every statement entering here counts
-	// as in flight, and every success lands its wall-clock latency —
-	// queue wait, slot time and pacing included — in the rolling window
-	// behind /slo and ghostdb_slo_attainment.
+	db.leaveSLO(start, err)
+	return res, err
+}
+
+// enterSLO counts one client-level statement as in flight and returns
+// its start time for leaveSLO.
+func (db *DB) enterSLO() time.Time {
 	db.inst.inFlight.Add(1)
-	start := time.Now()
-	res, err := db.runStatement(ctx, sql, cfg)
+	return time.Now()
+}
+
+// leaveSLO ends a statement counted by enterSLO: a success lands its
+// wall-clock latency — queue wait, slot time and pacing included — in
+// the rolling window behind /slo and ghostdb_slo_attainment.
+func (db *DB) leaveSLO(start time.Time, err error) {
 	db.inst.inFlight.Add(-1)
 	if err == nil {
 		db.inst.wallWin.Observe(time.Since(start).Seconds())
 	}
-	return res, err
-}
-
-// runStatement is RunCtx minus the client-level instrumentation.
-func (db *DB) runStatement(ctx context.Context, sql string, cfg QueryConfig) (*Result, error) {
-	parseSp := cfg.Trace.Root().Start("parse")
-	stmt, err := sqlparse.Parse(sql)
-	parseSp.End()
-	if err != nil {
-		return nil, err
-	}
-	if sel, ok := stmt.(*sqlparse.Select); ok && db.cache != nil {
-		return db.runCachedSelect(ctx, sel, sql, cfg)
-	}
-	ps, err := db.prepareParsed(stmt, sql, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return ps.RunCtx(ctx, cfg)
 }
 
 // runInsert executes an INSERT as a minimal session on the token owning
@@ -998,21 +949,6 @@ func wrapAdmission(err error) error {
 		return fmt.Errorf("%w: %w", ErrBudgetTooSmall, err)
 	}
 	return err
-}
-
-// Select executes a resolved query under the default configuration.
-func (db *DB) Select(q *query.Query) (*Result, error) {
-	return db.SelectCtx(context.Background(), q, db.DefaultConfig())
-}
-
-// SelectCtx plans and executes a resolved query (prepare-then-run for
-// callers that resolved the SQL themselves).
-func (db *DB) SelectCtx(ctx context.Context, q *query.Query, cfg QueryConfig) (*Result, error) {
-	plan, err := db.PlanQuery(q, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return db.runSelect(ctx, q, plan, cfg)
 }
 
 // runSelect executes a planned query. Single-token plans run as one

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"testing"
@@ -203,9 +204,7 @@ func TestQueriesMatchReferenceAcrossStrategies(t *testing.T) {
 		want := f.refAnswer(t, sql)
 		for _, s := range strategies {
 			for _, pj := range projectors {
-				f.db.SetForceStrategy(s)
-				f.db.SetProjector(pj)
-				res, err := f.db.Run(sql)
+				res, err := f.db.RunCtx(context.Background(), sql, QueryConfig{Strategy: s, Projector: pj})
 				if err != nil {
 					if errors.Is(err, ErrBloomInfeasible) {
 						continue // the paper stops Post curves there too
@@ -234,7 +233,6 @@ func sample(rows []schema.Row) []schema.Row {
 
 func TestAutoPlannerPicksSaneStrategies(t *testing.T) {
 	f := newFixture(t, 7, defaultCards())
-	f.db.SetForceStrategy(StratAuto)
 	// Selective visible selection with cross opportunity -> Cross-Pre.
 	res, err := f.db.Run(`SELECT T0.id FROM T0, T1, T12 WHERE T0.fk1 = T1.id AND T1.fk12 = T12.id AND T1.v1 < '0000000020' AND T12.h2 < '0000000100'`)
 	if err != nil {
@@ -361,9 +359,8 @@ func TestVisibleOnlyFastPathStaysOffFlash(t *testing.T) {
 
 func TestStatsBreakdownCoversCost(t *testing.T) {
 	f := newFixture(t, 9, defaultCards())
-	f.db.SetForceStrategy(StratCrossPre)
 	sql := `SELECT T0.id, T1.id, T12.id, T1.v1 FROM T0, T1, T12 WHERE T0.fk1 = T1.id AND T1.fk12 = T12.id AND T1.v1 < '0000000100' AND T12.h2 < '0000000100'`
-	res, err := f.db.Run(sql)
+	res, err := f.db.RunCtx(context.Background(), sql, QueryConfig{Strategy: StratCrossPre})
 	if err != nil {
 		t.Fatal(err)
 	}

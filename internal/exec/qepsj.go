@@ -304,7 +304,7 @@ func (r *queryRun) visibleOnlyFastPath() (*Result, bool, error) {
 		}
 		res.Rows = append(res.Rows, row)
 	}
-	// Stats are attached once by SelectCtx after execute returns.
+	// Stats are attached once by runSelectOn after execute returns.
 	return res, true, nil
 }
 

@@ -6,9 +6,7 @@ import (
 
 	"ghostdb/internal/cache"
 	"ghostdb/internal/obs"
-	"ghostdb/internal/pagecache"
 	"ghostdb/internal/query"
-	"ghostdb/internal/sqlparse"
 )
 
 // This file wires the untrusted-side result cache (internal/cache) into
@@ -29,10 +27,12 @@ import (
 //     flash I/O happens, and not a single byte crosses the bus in either
 //     direction (the query text itself never travels). Stats of a hit
 //     are all-zero except the CacheHit/CacheShared markers.
-//   - Invalidation is wholesale: every committed INSERT bumps the global
-//     data version, so a post-update query can never observe a
-//     pre-update answer. Concurrent identical queries collapse onto one
-//     admitted session (singleflight) and share its materialized result.
+//   - Invalidation is per shard: every committed INSERT, UPDATE or
+//     DELETE bumps the data version of the one shard it wrote, dropping
+//     exactly the entries whose queries touch that shard, so a
+//     post-write query can never observe a pre-write answer. Concurrent
+//     identical queries collapse onto one admitted session
+//     (singleflight) and share its materialized result.
 
 // cacheKey derives the result-cache key for a resolved query under a
 // given configuration. Strategy and projector are part of the key so a
@@ -71,10 +71,6 @@ func (r *Result) SizeBytes() int64 {
 	return n
 }
 
-// ResultCache exposes the cache (nil when Options.ResultCacheBytes <= 0)
-// for tests and tools inside this module.
-func (db *DB) ResultCache() *cache.Cache { return db.cache }
-
 // CacheStats snapshots the result cache's counters (zero value when the
 // cache is disabled).
 func (db *DB) CacheStats() cache.Stats {
@@ -84,15 +80,11 @@ func (db *DB) CacheStats() cache.Stats {
 	return db.cache.Stats()
 }
 
-// PageCache exposes the untrusted-side page cache (nil when
-// Options.PageCacheBytes <= 0) for tests and tools inside this module.
-func (db *DB) PageCache() *pagecache.Cache { return db.pages }
-
 // PageCacheStats snapshots the page cache's counters (zero value when
 // the cache is disabled).
-func (db *DB) PageCacheStats() pagecache.Stats {
+func (db *DB) PageCacheStats() cache.Stats {
 	if db.pages == nil {
-		return pagecache.Stats{}
+		return cache.Stats{}
 	}
 	return db.pages.Stats()
 }
@@ -111,48 +103,18 @@ func (db *DB) BusCoalesced() uint64 {
 // not yet consumed, summed over every live scan.
 func (db *DB) PrefetchInflight() int64 { return db.prefetchInflight.Load() }
 
-// runCachedSelect is the cache fast path for one-shot SELECTs (RunCtx):
-// it resolves just far enough to derive the cache key, then defers
-// *planning as well as execution* into the singleflight compute — a hit
-// pays neither the plan-time selectivity scans nor any token work.
-func (db *DB) runCachedSelect(ctx context.Context, sel *sqlparse.Select, sql string, cfg QueryConfig) (*Result, error) {
-	resolveSp := cfg.Trace.Root().Start("resolve")
-	q, err := query.Resolve(db.Sch, sel, sql)
-	resolveSp.End()
-	if err != nil {
-		return nil, err
-	}
-	return db.cachedSelect(ctx, cfg.Trace, cacheKey(q, cfg), db.shardsOf(q), func() (*Result, error) {
-		planSp := cfg.Trace.Root().Start("plan")
-		plan, err := db.PlanQuery(q, cfg)
-		planSp.End()
-		if err != nil {
-			return nil, err
-		}
-		return db.runSelect(ctx, q, plan, cfg)
-	})
-}
-
-// runSelectCached answers an already-planned SELECT (a prepared Stmt)
-// through the result cache.
-func (db *DB) runSelectCached(ctx context.Context, q *query.Query, plan *Plan, cfg QueryConfig, key string) (*Result, error) {
-	return db.cachedSelect(ctx, cfg.Trace, key, db.shardsOf(q), func() (*Result, error) {
-		return db.runSelect(ctx, q, plan, cfg)
-	})
-}
-
 // cachedSelect routes one SELECT through the cache: hit → the
 // materialized result is shared with zero secure-token work; concurrent
 // identical queries → one computation (singleflight), shared result;
-// miss → compute runs (plan and/or execute) and its result is stored,
-// stamped with the versions of the shards the query touches (a pure
-// function of query text + schema placement) as observed before it
-// started, so a racing INSERT can never leave a stale entry behind —
-// and an INSERT to an untouched shard never evicts it at all.
+// miss → compute executes the plan and its result is stored, stamped
+// with the versions of the shards the query touches (a pure function of
+// query text + schema placement) as observed before it started, so a
+// racing write can never leave a stale entry behind — and a write to an
+// untouched shard never evicts it at all.
 func (db *DB) cachedSelect(ctx context.Context, tr *obs.Trace, key string, shards []int, compute func() (*Result, error)) (*Result, error) {
 	// The cache span wraps the whole Do call; on a miss the compute's
-	// own plan/exec spans appear as siblings under the trace root (the
-	// lookup span's note records the outcome either way).
+	// own admission/exec spans appear as siblings under the trace root
+	// (the lookup span's note records the outcome either way).
 	cacheSp := tr.Root().Start("cache")
 	v, outcome, err := db.cache.Do(ctx, key, shards, func() (any, int64, error) {
 		res, err := compute()

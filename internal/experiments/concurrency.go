@@ -6,6 +6,12 @@ import (
 	"ghostdb/internal/exec"
 )
 
+// fixedFloorBuffers is the blind per-session admission floor the engine
+// used before the grant-aware planner sized admission from each plan's
+// derived minimum. The concurrency sweep grants at least this much, and
+// the planner sweep's fixed-floor arm measures against it.
+const fixedFloorBuffers = 8
+
 // ConcurrencyPoint is one measured level of the concurrency sweep: a
 // mixed query workload pushed through one DB by `Concurrency` client
 // goroutines. Latencies are *simulated* (flash I/O + link transfer under
@@ -80,8 +86,8 @@ func (l *Lab) ConcurrencySweep(levels []int, queriesPerLevel int) (*ConcurrencyR
 		rep.RAMBudgetBytes = db.RAM.Budget()
 
 		grant := db.RAM.Buffers() / level
-		if grant < exec.DefaultSessionMinBuffers {
-			grant = exec.DefaultSessionMinBuffers
+		if grant < fixedFloorBuffers {
+			grant = fixedFloorBuffers
 		}
 		cfg := exec.QueryConfig{MinBuffers: grant, WantBuffers: grant}
 

@@ -92,9 +92,8 @@ func plannerWorkload(n int) []string {
 
 // PlannerSweep runs the mixed workload at each concurrency level twice:
 // once with admission sized from each plan's derived floor and once with
-// the fixed pre-planner floor (8 buffers, the old
-// DefaultSessionMinBuffers). The difference is pure admission policy —
-// same queries, same budget, same engine.
+// the fixed pre-planner floor (fixedFloorBuffers). The difference is
+// pure admission policy — same queries, same budget, same engine.
 func (l *Lab) PlannerSweep(levels []int, queriesPerLevel int) (*PlannerReport, error) {
 	ds, err := l.SynthDataset()
 	if err != nil {
@@ -130,8 +129,8 @@ func (l *Lab) PlannerSweep(levels []int, queriesPerLevel int) (*PlannerReport, e
 			var cfg exec.QueryConfig
 			if mode == "fixed-floor" {
 				g := share
-				if g < exec.DefaultSessionMinBuffers {
-					g = exec.DefaultSessionMinBuffers
+				if g < fixedFloorBuffers {
+					g = fixedFloorBuffers
 				}
 				cfg = exec.QueryConfig{MinBuffers: g, WantBuffers: g}
 			} else {

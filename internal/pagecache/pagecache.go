@@ -1,422 +1,11 @@
-// Package pagecache is the untrusted-side buffer pool: a byte-bounded
-// frame cache one level below the result cache, holding (a) encoded
-// visible-column runs and (b) already-revealed Vis id-list/value runs,
-// keyed on canonical per-table predicate text so repeated and
-// multi-pass executions skip recompute, re-encoding and — paired with
-// the token-side retained spools in internal/exec — re-shipping over
-// the bus.
-//
-// Security invariant (why this cache is leak-free by construction):
-// every cached value is a pure function of (i) the visible partition,
-// which the untrusted side holds in full by definition, and (ii) the
-// canonical query text, which is the one thing GhostDB's model already
-// reveals (§1 of the paper). The cache key is that text restricted to
-// one table; hit-or-miss is therefore a pure function of the public
-// query history plus committed-write versions — an observer of the
-// query stream can predict every hit, so hits reveal nothing new. This
-// is the PR 4 result-cache argument, one level lower.
-//
-// Invalidation reuses the per-shard version-vector machinery of
-// internal/cache: every committed write bumps the version of exactly
-// the shard it touched, and frames are stamped with the versions of the
-// shards their keys span. Versions advance only on statements the
-// untrusted side itself submitted, so neither stamps nor sweeps depend
-// on hidden data.
-//
-// RAM invariant: frames live in untrusted host RAM and are never
-// charged against the secure chip's 64KB budget — the point is to spend
-// plentiful untrusted memory to save scarce secure resources (token
-// RAM, flash I/O, the USB link).
-//
-// Values are opaque and shared between all readers; holders MUST treat
-// them as immutable. Frames can be pinned (Acquire) while a reader
-// drains them; pinned frames are never evicted, matching the classic
-// buffer-pool-manager discipline.
+// Package pagecache names the page cache's statistics. The page cache
+// itself is an instance of internal/cache, the one untrusted-side pool;
+// see that package for the leak argument that covers it.
 package pagecache
 
-import (
-	"container/list"
-	"sync"
-)
+import "ghostdb/internal/cache"
 
-// Stats is a snapshot of the pool's counters.
-type Stats struct {
-	Entries       int    `json:"entries"`
-	Bytes         int64  `json:"bytes"`
-	CapacityBytes int64  `json:"capacity_bytes"`
-	Policy        string `json:"policy"`
-	Hits          uint64 `json:"hits"`
-	Misses        uint64 `json:"misses"`
-	Stores        uint64 `json:"stores"`
-	Evictions     uint64 `json:"evictions"`
-	Invalidations uint64 `json:"invalidations"`
-	// PinSkips counts eviction attempts that had to pass over a pinned
-	// frame (a liveness, not correctness, signal).
-	PinSkips uint64 `json:"pin_skips"`
-}
-
-// frame is one cached run, stamped like a result-cache entry: stamp[0]
-// is the wholesale epoch, stamp[i+1] the version of shards[i].
-type frame struct {
-	key    string
-	val    any
-	size   int64
-	pins   int
-	shards []int
-	stamp  []uint64
-}
-
-// Policy orders frames for eviction. Implementations are not
-// goroutine-safe on their own; the Cache calls them under its lock.
-type Policy interface {
-	// Name identifies the policy in Stats ("lru", "clock").
-	Name() string
-	// Inserted registers a new key.
-	Inserted(key string)
-	// Touched records a hit on key.
-	Touched(key string)
-	// Removed forgets key (eviction or invalidation).
-	Removed(key string)
-	// Victim proposes the next key to evict, skipping keys for which
-	// skip returns true (pinned frames). ok is false when every
-	// remaining frame is pinned.
-	Victim(skip func(key string) bool) (key string, ok bool)
-}
-
-// lruPolicy evicts the least-recently-used unpinned frame.
-type lruPolicy struct {
-	ll  *list.List // front = most recently used; values are string keys
-	pos map[string]*list.Element
-}
-
-// NewLRU returns the least-recently-used eviction policy.
-func NewLRU() Policy {
-	return &lruPolicy{ll: list.New(), pos: make(map[string]*list.Element)}
-}
-
-func (p *lruPolicy) Name() string { return "lru" }
-
-func (p *lruPolicy) Inserted(key string) { p.pos[key] = p.ll.PushFront(key) }
-
-func (p *lruPolicy) Touched(key string) {
-	if el, ok := p.pos[key]; ok {
-		p.ll.MoveToFront(el)
-	}
-}
-
-func (p *lruPolicy) Removed(key string) {
-	if el, ok := p.pos[key]; ok {
-		p.ll.Remove(el)
-		delete(p.pos, key)
-	}
-}
-
-func (p *lruPolicy) Victim(skip func(string) bool) (string, bool) {
-	for el := p.ll.Back(); el != nil; el = el.Prev() {
-		key := el.Value.(string)
-		if !skip(key) {
-			return key, true
-		}
-	}
-	return "", false
-}
-
-// clockEntry is one slot in the clock sweep.
-type clockEntry struct {
-	key string
-	ref bool
-}
-
-// clockPolicy is second-chance eviction: a sweep hand clears reference
-// bits and evicts the first unreferenced, unpinned frame.
-type clockPolicy struct {
-	ring []*clockEntry
-	pos  map[string]int
-	hand int
-}
-
-// NewClock returns the clock (second-chance) eviction policy.
-func NewClock() Policy {
-	return &clockPolicy{pos: make(map[string]int)}
-}
-
-func (p *clockPolicy) Name() string { return "clock" }
-
-func (p *clockPolicy) Inserted(key string) {
-	p.pos[key] = len(p.ring)
-	p.ring = append(p.ring, &clockEntry{key: key, ref: true})
-}
-
-func (p *clockPolicy) Touched(key string) {
-	if i, ok := p.pos[key]; ok {
-		p.ring[i].ref = true
-	}
-}
-
-func (p *clockPolicy) Removed(key string) {
-	i, ok := p.pos[key]
-	if !ok {
-		return
-	}
-	last := len(p.ring) - 1
-	p.ring[i] = p.ring[last]
-	p.pos[p.ring[i].key] = i
-	p.ring = p.ring[:last]
-	delete(p.pos, key)
-	if p.hand > last {
-		p.hand = 0
-	}
-}
-
-func (p *clockPolicy) Victim(skip func(string) bool) (string, bool) {
-	n := len(p.ring)
-	if n == 0 {
-		return "", false
-	}
-	// Two full rotations suffice: the first clears every reference bit,
-	// so the second must find a victim unless every frame is pinned.
-	for sweep := 0; sweep < 2*n; sweep++ {
-		if p.hand >= len(p.ring) {
-			p.hand = 0
-		}
-		e := p.ring[p.hand]
-		p.hand++
-		if skip(e.key) {
-			continue
-		}
-		if e.ref {
-			e.ref = false
-			continue
-		}
-		return e.key, true
-	}
-	return "", false
-}
-
-// Cache is the byte-bounded frame pool. All methods are safe for
-// concurrent use.
-type Cache struct {
-	mu       sync.Mutex
-	cap      int64
-	bytes    int64
-	frames   map[string]*frame
-	pol      Policy
-	versions []uint64 // per-shard data versions, grown on demand
-	epoch    uint64   // wholesale-invalidation epoch (Bump)
-
-	hits, misses, stores, evictions, invalidations, pinSkips uint64
-}
-
-// New creates a pool bounded to capBytes of cached runs (sizes are
-// caller-reported). A nil policy defaults to LRU. capBytes <= 0 yields
-// a pool that never stores.
-func New(capBytes int64, pol Policy) *Cache {
-	if pol == nil {
-		pol = NewLRU()
-	}
-	return &Cache{cap: capBytes, frames: make(map[string]*frame), pol: pol}
-}
-
-// normShards defaults a nil/empty shard set to shard 0.
-func normShards(shards []int) []int {
-	if len(shards) == 0 {
-		return []int{0}
-	}
-	return shards
-}
-
-func (c *Cache) verLocked(shard int) uint64 {
-	if shard >= 0 && shard < len(c.versions) {
-		return c.versions[shard]
-	}
-	return 0
-}
-
-func (c *Cache) stampLocked(shards []int) []uint64 {
-	out := make([]uint64, len(shards)+1)
-	out[0] = c.epoch
-	for i, s := range shards {
-		out[i+1] = c.verLocked(s)
-	}
-	return out
-}
-
-// Stamp snapshots the version vector restricted to the given shards;
-// pass the result to Put so a run encoded before a racing committed
-// write can never be stored.
-func (c *Cache) Stamp(shards []int) []uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.stampLocked(normShards(shards))
-}
-
-func (c *Cache) freshLocked(shards []int, stamp []uint64) bool {
-	if len(stamp) != len(shards)+1 || stamp[0] != c.epoch {
-		return false
-	}
-	for i, s := range shards {
-		if stamp[i+1] != c.verLocked(s) {
-			return false
-		}
-	}
-	return true
-}
-
-// Version returns one shard's current data version (0 for shards never
-// bumped). Token-side retained state compares against this to decide
-// whether a header-only re-ship is still valid.
-func (c *Cache) Version(shard int) uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.verLocked(shard)
-}
-
-// Bump invalidates every frame regardless of shard (wholesale).
-func (c *Cache) Bump() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.epoch++
-	c.invalidations++
-	for key := range c.frames {
-		c.pol.Removed(key)
-	}
-	clear(c.frames)
-	c.bytes = 0
-}
-
-// BumpShard advances one shard's data version after a committed write,
-// eagerly sweeping the frames whose keys touch that shard. Pinned
-// frames are removed from the index too — current holders keep their
-// (immutable, pre-write) value, but no later lookup can observe it.
-func (c *Cache) BumpShard(shard int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if shard < 0 {
-		shard = 0
-	}
-	for shard >= len(c.versions) {
-		c.versions = append(c.versions, 0)
-	}
-	c.versions[shard]++
-	c.invalidations++
-	for key, f := range c.frames {
-		for _, s := range f.shards {
-			if s == shard {
-				c.removeLocked(key, f)
-				break
-			}
-		}
-	}
-}
-
-// Get returns the cached run for key, if still fresh.
-func (c *Cache) Get(key string) (any, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	f, ok := c.getLocked(key)
-	if !ok {
-		return nil, false
-	}
-	return f.val, true
-}
-
-// Acquire is Get with a pin: the returned release func must be called
-// when the caller is done draining the run, and until then the frame
-// cannot be evicted (it can still be invalidated — the holder keeps its
-// immutable value, later lookups miss).
-func (c *Cache) Acquire(key string) (val any, release func(), ok bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	f, hit := c.getLocked(key)
-	if !hit {
-		return nil, nil, false
-	}
-	f.pins++
-	var once sync.Once
-	release = func() {
-		once.Do(func() {
-			c.mu.Lock()
-			f.pins--
-			c.mu.Unlock()
-		})
-	}
-	return f.val, release, true
-}
-
-func (c *Cache) getLocked(key string) (*frame, bool) {
-	f, ok := c.frames[key]
-	if !ok {
-		c.misses++
-		return nil, false
-	}
-	if !c.freshLocked(f.shards, f.stamp) {
-		// Stale under a racing bump; bumps sweep eagerly, so this is only
-		// a belt-and-suspenders check.
-		c.removeLocked(key, f)
-		c.misses++
-		return nil, false
-	}
-	c.pol.Touched(key)
-	c.hits++
-	return f, true
-}
-
-// Put stores val under key, stamped with the version vector the caller
-// observed (via Stamp) before encoding it; a stale stamp drops the
-// value. Returns whether the value was stored.
-func (c *Cache) Put(key string, val any, size int64, shards []int, stamp []uint64) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	shards = normShards(shards)
-	if !c.freshLocked(shards, stamp) || size > c.cap || size < 0 {
-		return false
-	}
-	if old, ok := c.frames[key]; ok {
-		c.removeLocked(key, old) // replacement, not counted as an eviction
-	}
-	for c.bytes+size > c.cap {
-		victim, ok := c.pol.Victim(func(k string) bool {
-			f := c.frames[k]
-			if f != nil && f.pins > 0 {
-				c.pinSkips++
-				return true
-			}
-			return false
-		})
-		if !ok {
-			return false // everything left is pinned; don't overfill
-		}
-		c.removeLocked(victim, c.frames[victim])
-		c.evictions++
-	}
-	c.frames[key] = &frame{key: key, val: val, size: size,
-		shards: append([]int(nil), shards...), stamp: append([]uint64(nil), stamp...)}
-	c.pol.Inserted(key)
-	c.bytes += size
-	c.stores++
-	return true
-}
-
-func (c *Cache) removeLocked(key string, f *frame) {
-	delete(c.frames, key)
-	c.pol.Removed(key)
-	c.bytes -= f.size
-}
-
-// Stats returns a snapshot of the counters.
-func (c *Cache) Stats() Stats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return Stats{
-		Entries:       len(c.frames),
-		Bytes:         c.bytes,
-		CapacityBytes: c.cap,
-		Policy:        c.pol.Name(),
-		Hits:          c.hits,
-		Misses:        c.misses,
-		Stores:        c.stores,
-		Evictions:     c.evictions,
-		Invalidations: c.invalidations,
-		PinSkips:      c.pinSkips,
-	}
-}
+// Stats is a snapshot of the page cache's counters. It is an alias of
+// cache.Stats, kept so callers that name the page cache's statistics by
+// this package keep compiling.
+type Stats = cache.Stats

@@ -4,10 +4,39 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
+	"time"
 
 	"ghostdb"
 	"ghostdb/internal/schema"
 )
+
+// MaxRequestBytes bounds an HTTP request body. A statement is one line of
+// SQL, so a larger body is refused with 413 before it is parsed.
+const MaxRequestBytes = 1 << 20
+
+// ReadHeaderTimeout bounds how long an HTTP client may take to send its
+// request headers, so a slow client cannot hold a connection open.
+const ReadHeaderTimeout = 10 * time.Second
+
+// queryParam reads the request's q parameter. It answers 413 when the
+// body exceeds MaxRequestBytes and 400 when the form is malformed or q
+// is missing; ok is false when it has answered.
+func queryParam(w http.ResponseWriter, r *http.Request) (sql string, ok bool) {
+	if err := r.ParseForm(); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			httpErr(w, http.StatusRequestEntityTooLarge, "request body too large")
+		} else {
+			httpErr(w, http.StatusBadRequest, err.Error())
+		}
+		return "", false
+	}
+	if sql = r.FormValue("q"); sql == "" {
+		httpErr(w, http.StatusBadRequest, "missing q parameter")
+		return "", false
+	}
+	return sql, true
+}
 
 // HTTPHandler returns a JSON facade over the same DB, for clients that
 // prefer HTTP to the line protocol:
@@ -33,13 +62,13 @@ import (
 //
 // Each request's context flows into QueryCtx/ExecCtx, so a client that
 // disconnects mid-request abandons its queued admission slot — the same
-// per-client cancellation contract as the TCP protocol.
+// per-client cancellation contract as the TCP protocol. Request bodies
+// are capped at MaxRequestBytes.
 func (s *Server) HTTPHandler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/query", func(w http.ResponseWriter, r *http.Request) {
-		sql := r.FormValue("q")
-		if sql == "" {
-			httpErr(w, http.StatusBadRequest, "missing q parameter")
+		sql, ok := queryParam(w, r)
+		if !ok {
 			return
 		}
 		res, err := s.db.QueryCtx(r.Context(), sql)
@@ -71,9 +100,8 @@ func (s *Server) HTTPHandler() http.Handler {
 			httpErr(w, http.StatusMethodNotAllowed, "EXEC requires POST")
 			return
 		}
-		sql := r.FormValue("q")
-		if sql == "" {
-			httpErr(w, http.StatusBadRequest, "missing q parameter")
+		sql, ok := queryParam(w, r)
+		if !ok {
 			return
 		}
 		if err := s.db.ExecCtx(r.Context(), sql); err != nil {
@@ -83,9 +111,8 @@ func (s *Server) HTTPHandler() http.Handler {
 		writeJSON(w, map[string]any{"ok": true})
 	})
 	mux.HandleFunc("/explain", func(w http.ResponseWriter, r *http.Request) {
-		sql := r.FormValue("q")
-		if sql == "" {
-			httpErr(w, http.StatusBadRequest, "missing q parameter")
+		sql, ok := queryParam(w, r)
+		if !ok {
 			return
 		}
 		plan, err := s.db.Explain(sql)
@@ -124,9 +151,8 @@ func (s *Server) HTTPHandler() http.Handler {
 			httpErr(w, http.StatusNotFound, "telemetry disabled")
 			return
 		}
-		sql := r.FormValue("q")
-		if sql == "" {
-			httpErr(w, http.StatusBadRequest, "missing q parameter")
+		sql, ok := queryParam(w, r)
+		if !ok {
 			return
 		}
 		tr := ghostdb.NewTrace(sql)
@@ -180,6 +206,9 @@ func (s *Server) HTTPHandler() http.Handler {
 		s.httpInFlight.Add(1)
 		defer s.httpInFlight.Add(-1)
 		rec := &statusRecorder{ResponseWriter: w, code: http.StatusOK}
+		if r.Body != nil {
+			r.Body = http.MaxBytesReader(rec, r.Body, MaxRequestBytes)
+		}
 		mux.ServeHTTP(rec, r)
 		if i := rec.code/100 - 2; i >= 0 && i < len(s.httpCodes) {
 			s.httpCodes[i].Inc()

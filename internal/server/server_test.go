@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -302,6 +303,37 @@ func TestHTTPFacade(t *testing.T) {
 	}
 	if body = get("/explain?q=SELECT+id+FROM+Customers+WHERE+region+=+'north'"); !strings.Contains(body, `"plan"`) {
 		t.Fatalf("explain body: %s", body)
+	}
+}
+
+// TestHTTPOversizedBodyRefused: a body past MaxRequestBytes is refused
+// with 413 before it is parsed, and the facade keeps serving queries.
+func TestHTTPOversizedBodyRefused(t *testing.T) {
+	s, _ := startServer(t)
+	ts := httptest.NewServer(s.HTTPHandler())
+	defer ts.Close()
+
+	big := "q=SELECT+id+FROM+Customers+WHERE+region+=+'" + strings.Repeat("x", MaxRequestBytes) + "'"
+	res, err := ts.Client().Post(ts.URL+"/query", "application/x-www-form-urlencoded", strings.NewReader(big))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res.Body.Close()
+	if res.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body: status %d, want 413", res.StatusCode)
+	}
+
+	res, err = ts.Client().Get(ts.URL + "/query?q=" + strings.ReplaceAll("SELECT id FROM Customers WHERE region = 'north'", " ", "+"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(res.Body)
+	res.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.StatusCode != http.StatusOK || !strings.Contains(string(body), `"columns"`) {
+		t.Fatalf("query after the refused body: status %d, body %s", res.StatusCode, body)
 	}
 }
 

@@ -19,7 +19,7 @@ import (
 	"sync"
 
 	"ghostdb/internal/bus"
-	"ghostdb/internal/pagecache"
+	"ghostdb/internal/cache"
 	"ghostdb/internal/query"
 	"ghostdb/internal/schema"
 	"ghostdb/internal/sqlparse"
@@ -38,7 +38,7 @@ type Engine struct {
 	// predicate text (VisKey). Cached values are shared *VisResult
 	// pointers and immutable by contract; pcShard is the shard whose
 	// version vector stamps and invalidates this engine's frames.
-	pc      *pagecache.Cache
+	pc      *cache.Cache
 	pcShard int
 }
 
@@ -302,8 +302,8 @@ func (e *Engine) CountVis(table int, preds []query.Pred) (int, error) {
 // serve repeated canonical keys from it instead of rescanning and
 // re-encoding. shard is the secure token this engine fronts, so
 // committed writes invalidate exactly this engine's frames via
-// pagecache.BumpShard.
-func (e *Engine) SetPageCache(pc *pagecache.Cache, shard int) {
+// cache.BumpShard.
+func (e *Engine) SetPageCache(pc *cache.Cache, shard int) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.pc, e.pcShard = pc, shard
