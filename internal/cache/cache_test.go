@@ -23,84 +23,43 @@ func mustDo(t *testing.T, c *Cache, key string, val any, size int64) Outcome {
 	return out
 }
 
-// TestHitMissAndLRUByteBound runs one LRU scenario through both ways the
-// engine fills a pool: Do (the result cache) and Stamp+Put (the page
-// cache). Either way the least recently used entry goes first and the
-// byte bound holds.
 func TestHitMissAndLRUByteBound(t *testing.T) {
-	for _, viaPut := range []bool{false, true} {
-		c := New(100)
-		store := func(key string, val any) {
-			t.Helper()
-			if viaPut {
-				if !c.Put(key, val, 40, nil, c.Stamp(nil)) {
-					t.Fatalf("Put(%q) should store", key)
-				}
-				return
-			}
-			if out := mustDo(t, c, key, val, 40); out != Miss {
-				t.Fatalf("first %s: %v, want miss", key, out)
-			}
-		}
-		// hit looks key up the way the filling path would.
-		hit := func(key string) bool {
-			t.Helper()
-			if viaPut {
-				_, ok := c.Get(key)
-				return ok
-			}
-			return mustDo(t, c, key, "recomputed", 40) == Hit
-		}
-		store("a", "A")
-		if !hit("a") {
-			t.Fatalf("viaPut=%v: second a should hit", viaPut)
-		}
-		store("b", "B")
-		// Touch a so b is the LRU victim.
-		if !hit("a") {
-			t.Fatalf("viaPut=%v: a should still be cached", viaPut)
-		}
-		store("c", "C") // 120 > 100: evicts b
-		if _, ok := c.Get("b"); ok {
-			t.Fatalf("viaPut=%v: b should have been evicted (LRU)", viaPut)
-		}
-		if v, ok := c.Get("a"); !ok || v != "A" {
-			t.Fatalf("viaPut=%v: a should have survived eviction", viaPut)
-		}
-		st := c.Stats()
-		if st.Entries != 2 || st.Bytes != 80 {
-			t.Fatalf("viaPut=%v: entries=%d bytes=%d, want 2/80", viaPut, st.Entries, st.Bytes)
-		}
-		if st.Evictions != 1 {
-			t.Fatalf("viaPut=%v: evictions = %d, want 1", viaPut, st.Evictions)
-		}
-		// Do counts its own misses; the Put path only counts the Get of b.
-		wantMisses := uint64(4)
-		if viaPut {
-			wantMisses = 1
-		}
-		if st.Hits != 3 || st.Misses != wantMisses {
-			t.Fatalf("viaPut=%v: hits=%d misses=%d, want 3/%d", viaPut, st.Hits, st.Misses, wantMisses)
-		}
+	c := New(100)
+	if out := mustDo(t, c, "a", "A", 40); out != Miss {
+		t.Fatalf("first a: %v, want miss", out)
+	}
+	if out := mustDo(t, c, "a", "ignored", 40); out != Hit {
+		t.Fatalf("second a: %v, want hit", out)
+	}
+	mustDo(t, c, "b", "B", 40)
+	// Touch a so b is the LRU victim.
+	if out := mustDo(t, c, "a", nil, 0); out != Hit {
+		t.Fatal("a should still be cached")
+	}
+	mustDo(t, c, "c", "C", 40) // 120 > 100: evicts b
+	if _, ok := c.Get("b"); ok {
+		t.Fatal("b should have been evicted (LRU)")
+	}
+	if v, ok := c.Get("a"); !ok || v != "A" {
+		t.Fatal("a should have survived eviction")
+	}
+	st := c.Stats()
+	if st.Entries != 2 || st.Bytes != 80 {
+		t.Fatalf("entries=%d bytes=%d, want 2/80", st.Entries, st.Bytes)
+	}
+	if st.Evictions != 1 {
+		t.Fatalf("evictions = %d, want 1", st.Evictions)
 	}
 }
 
-// TestOversizedValueNotStored: a value larger than the capacity is never
-// stored, whether it fills through Do or Put; a zero-capacity pool (a
-// disabled cache) is the limiting case and never stores anything.
 func TestOversizedValueNotStored(t *testing.T) {
-	for _, tc := range []struct{ capBytes, size int64 }{{10, 11}, {0, 1}} {
-		c := New(tc.capBytes)
-		mustDo(t, c, "big", "BIG", tc.size)
-		if _, ok := c.Get("big"); ok {
-			t.Fatalf("cap %d: oversized value must not be cached", tc.capBytes)
-		}
-		if c.Put("big", "BIG", tc.size, nil, c.Stamp(nil)) {
-			t.Fatalf("cap %d: Put of an oversized value must not store", tc.capBytes)
-		}
-		if st := c.Stats(); st.Bytes != 0 || st.Entries != 0 || st.Stores != 0 {
-			t.Fatalf("cap %d: stats after oversized store: %+v", tc.capBytes, st)
-		}
+	c := New(10)
+	mustDo(t, c, "big", "BIG", 11)
+	if _, ok := c.Get("big"); ok {
+		t.Fatal("oversized value must not be cached")
+	}
+	if st := c.Stats(); st.Bytes != 0 || st.Entries != 0 {
+		t.Fatalf("stats after oversized store: %+v", st)
 	}
 }
 
@@ -144,48 +103,33 @@ func TestStaleVersionNotStored(t *testing.T) {
 }
 
 // TestBumpShardIsSelective: advancing one shard's version drops exactly
-// the entries whose keys touch that shard; entries over other shards
-// survive — the property sharded write fan-out depends on. The page
-// cache's Stamp+Put path is the second input, and there a stamp taken
-// before the bump can no longer store.
+// the entries whose queries touch that shard; results over other shards
+// survive — the property sharded INSERT fan-out depends on.
 func TestBumpShardIsSelective(t *testing.T) {
-	for _, viaPut := range []bool{false, true} {
-		c := New(1000)
-		stamps := map[string][]uint64{}
-		do := func(key string, shards []int, val string) {
-			t.Helper()
-			if viaPut {
-				stamps[key] = c.Stamp(shards)
-				if !c.Put(key, val, 10, shards, stamps[key]) {
-					t.Fatalf("Put(%q) should store", key)
-				}
-				return
-			}
-			if _, out, err := c.Do(context.Background(), key, shards, func() (any, int64, error) {
-				return val, 10, nil
-			}); err != nil || out != Miss {
-				t.Fatalf("Do(%q): out=%v err=%v", key, out, err)
-			}
+	c := New(1000)
+	do := func(key string, shards []int, val string) {
+		t.Helper()
+		if _, out, err := c.Do(context.Background(), key, shards, func() (any, int64, error) {
+			return val, 10, nil
+		}); err != nil || out != Miss {
+			t.Fatalf("Do(%q): out=%v err=%v", key, out, err)
 		}
-		do("q0", []int{0}, "A")
-		do("q1", []int{1}, "B")
-		do("q01", []int{0, 1}, "C")
-		c.BumpShard(1)
-		if _, ok := c.Get("q0"); !ok {
-			t.Fatalf("viaPut=%v: shard-0 entry dropped by a shard-1 bump", viaPut)
-		}
-		if _, ok := c.Get("q1"); ok {
-			t.Fatalf("viaPut=%v: shard-1 entry survived its shard's bump", viaPut)
-		}
-		if _, ok := c.Get("q01"); ok {
-			t.Fatalf("viaPut=%v: cross-shard entry survived a touched shard's bump", viaPut)
-		}
-		if st := c.Stats(); st.Entries != 1 || st.Bytes != 10 || st.Invalidations != 1 {
-			t.Fatalf("viaPut=%v: post-bump accounting: %+v", viaPut, st)
-		}
-		if viaPut && c.Put("q1", "stale", 10, []int{1}, stamps["q1"]) {
-			t.Fatal("a stamp taken before the bump must not store")
-		}
+	}
+	do("q0", []int{0}, "A")
+	do("q1", []int{1}, "B")
+	do("q01", []int{0, 1}, "C")
+	c.BumpShard(1)
+	if _, ok := c.Get("q0"); !ok {
+		t.Fatal("shard-0 entry dropped by a shard-1 bump")
+	}
+	if _, ok := c.Get("q1"); ok {
+		t.Fatal("shard-1 entry survived its shard's bump")
+	}
+	if _, ok := c.Get("q01"); ok {
+		t.Fatal("cross-shard entry survived a touched shard's bump")
+	}
+	if st := c.Stats(); st.Entries != 1 || st.Bytes != 10 {
+		t.Fatalf("post-bump accounting: %+v", st)
 	}
 }
 
@@ -407,41 +351,39 @@ func TestFollowerCancellation(t *testing.T) {
 // the whole package. Every value is the same size, so the byte
 // accounting must equal entries × size afterwards.
 func TestConcurrentChurn(t *testing.T) {
-	for _, load := range []struct{ workers, iters int }{{8, 300}, {16, 400}} {
-		c := New(1 << 12)
-		var wg sync.WaitGroup
-		for g := 0; g < load.workers; g++ {
-			g := g
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := 0; i < load.iters; i++ {
-					key := fmt.Sprintf("k%d", (g*7+i)%64)
-					shards := []int{(g + i) % 3}
-					switch i % 13 {
-					case 5:
-						c.Put(key, i, 64, shards, c.Stamp(shards))
-					case 7:
-						c.BumpShard(i % 3)
-					case 9:
-						c.Get(key)
-					case 11:
-						c.Stats()
-					default:
-						c.Do(context.Background(), key, shards, func() (any, int64, error) {
-							return i, 64, nil
-						})
-					}
+	c := New(1 << 12)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		g := g
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 300; i++ {
+				key := fmt.Sprintf("k%d", (g*7+i)%64)
+				shards := []int{(g + i) % 3}
+				switch i % 13 {
+				case 5:
+					c.Put(key, i, 64, shards, c.Stamp(shards))
+				case 7:
+					c.BumpShard(i % 3)
+				case 9:
+					c.Get(key)
+				case 11:
+					c.Stats()
+				default:
+					c.Do(context.Background(), key, shards, func() (any, int64, error) {
+						return i, 64, nil
+					})
 				}
-			}()
-		}
-		wg.Wait()
-		st := c.Stats()
-		if st.Bytes < 0 || st.Bytes > st.CapacityBytes {
-			t.Fatalf("%d workers: byte accounting off: %+v", load.workers, st)
-		}
-		if int64(st.Entries)*64 != st.Bytes {
-			t.Fatalf("%d workers: %d entries × 64 ≠ %d bytes", load.workers, st.Entries, st.Bytes)
-		}
+			}
+		}()
+	}
+	wg.Wait()
+	st := c.Stats()
+	if st.Bytes < 0 || st.Bytes > st.CapacityBytes {
+		t.Fatalf("byte accounting off: %+v", st)
+	}
+	if int64(st.Entries)*64 != st.Bytes {
+		t.Fatalf("%d entries × 64 ≠ %d bytes", st.Entries, st.Bytes)
 	}
 }
