@@ -10,6 +10,7 @@ package bus
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 )
 
 // Direction of a transfer across the link.
@@ -48,15 +49,17 @@ type Req struct {
 	Payload string // retained for Up messages only, as in Transfer
 }
 
-// Channel is the simulated link. Counter and throughput accesses are
+// Channel is the simulated link. Throughput and audit-trail accesses are
 // mutex-protected so sessions and control knobs may touch the channel
-// concurrently; transfers themselves are still serialized by the
-// scheduler's secure-token lock (the link is a serial resource).
+// concurrently; the byte counters are atomics that writers advance under
+// the same mutex, so Counters reads them without locking. Transfers
+// themselves are still serialized by the scheduler's secure-token lock
+// (the link is a serial resource).
 type Channel struct {
 	mu             sync.Mutex
 	throughputMBps float64
-	downBytes      uint64
-	upBytes        uint64
+	downBytes      atomic.Uint64
+	upBytes        atomic.Uint64
 	coalesced      uint64
 	records        []Record
 	auditPayloads  bool
@@ -146,10 +149,10 @@ func (c *Channel) Transfer(dir Direction, kind string, n int, payload string) er
 	defer c.mu.Unlock()
 	switch dir {
 	case Down:
-		c.downBytes += uint64(n)
+		c.downBytes.Add(uint64(n))
 		payload = "" // visible data content is not interesting to audit
 	case Up:
-		c.upBytes += uint64(n)
+		c.upBytes.Add(uint64(n))
 	default:
 		return fmt.Errorf("bus: unknown direction %d", dir)
 	}
@@ -181,9 +184,9 @@ func (c *Channel) TransferBatch(dir Direction, reqs []Req) error {
 	var payload string
 	switch dir {
 	case Down:
-		c.downBytes += uint64(total)
+		c.downBytes.Add(uint64(total))
 	case Up:
-		c.upBytes += uint64(total)
+		c.upBytes.Add(uint64(total))
 		for _, r := range reqs {
 			payload += r.Payload
 		}
@@ -207,18 +210,21 @@ func (c *Channel) Coalesced() uint64 {
 	return c.coalesced
 }
 
-// Counters reports cumulative bytes in each direction.
+// Counters reports cumulative bytes in each direction. It reads without
+// locking, and each direction is read on its own: a transfer running
+// concurrently may show in one value and not yet in the other. Readers
+// that need both to agree, such as the cost collector, read while the
+// token slot excludes transfers.
 func (c *Channel) Counters() (down, up uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.downBytes, c.upBytes
+	return c.downBytes.Load(), c.upBytes.Load()
 }
 
 // ResetCounters zeroes the byte counters and the audit trail.
 func (c *Channel) ResetCounters() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.downBytes, c.upBytes = 0, 0
+	c.downBytes.Store(0)
+	c.upBytes.Store(0)
 	c.records = c.records[:0]
 	c.ringStart = 0
 	c.dropped = 0

@@ -1,6 +1,9 @@
 package bus
 
-import "testing"
+import (
+	"sync"
+	"testing"
+)
 
 func TestCountersAndAudit(t *testing.T) {
 	c := NewChannel(1.5)
@@ -133,5 +136,50 @@ func TestAuditOptOut(t *testing.T) {
 	_ = c.Transfer(Up, "query", 10, "SELECT 1")
 	if len(c.Records()) != 1 {
 		t.Fatal("limit 0 must restore the full trail")
+	}
+}
+
+// Counters reads without the channel lock, so it may run while other
+// goroutines transfer; each direction's count only ever grows and ends
+// at the exact total. This test exists to run under -race.
+func TestCountersConcurrentWithTransfers(t *testing.T) {
+	c := NewChannel(1.5)
+	c.SetAuditLimit(16)
+	const rounds = 500
+	var wg sync.WaitGroup
+	wg.Add(3)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < rounds; i++ {
+			if err := c.Transfer(Down, "vis-ids", 3, ""); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < rounds; i++ {
+			if err := c.TransferBatch(Up, []Req{{Kind: "q", Bytes: 1, Payload: "a"}, {Kind: "q", Bytes: 1, Payload: "b"}}); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		var lastDown, lastUp uint64
+		for i := 0; i < 4*rounds; i++ {
+			down, up := c.Counters()
+			if down < lastDown || up < lastUp || down%3 != 0 || up%2 != 0 {
+				t.Errorf("counters went %d/%d -> %d/%d", lastDown, lastUp, down, up)
+				return
+			}
+			lastDown, lastUp = down, up
+		}
+	}()
+	wg.Wait()
+	if down, up := c.Counters(); down != 3*rounds || up != 2*rounds {
+		t.Fatalf("counters = %d/%d, want %d/%d", down, up, 3*rounds, 2*rounds)
 	}
 }

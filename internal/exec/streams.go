@@ -90,59 +90,78 @@ func (s *runStream) close() {
 }
 
 // unionStream merges k ascending streams into one ascending, deduplicated
-// stream (the ∪ of the Merge operator).
+// stream (the ∪ of the Merge operator). The live sources sit in a binary
+// min-heap ordered by (head, source index), so each pull costs O(log k).
+// That order breaks ties towards the lowest source index, which makes
+// the pull sequence — and so the flash page reads behind the sources —
+// exactly that of a linear scan for the first minimal head.
 type unionStream struct {
 	srcs []idStream
-	head []int64 // current head per source; -1 = exhausted
+	heap []uint64 // live sources as head<<32 | source index
 	last int64
 }
 
 func newUnionStream(srcs []idStream) (*unionStream, error) {
-	u := &unionStream{srcs: srcs, head: make([]int64, len(srcs)), last: -1}
+	u := &unionStream{srcs: srcs, heap: make([]uint64, 0, len(srcs)), last: -1}
 	for i, s := range srcs {
 		v, ok, err := s.next()
 		if err != nil {
 			u.close()
 			return nil, err
 		}
-		if !ok {
-			u.head[i] = -1
-		} else {
-			u.head[i] = int64(v)
+		if ok {
+			u.heap = append(u.heap, uint64(v)<<32|uint64(i))
 		}
+	}
+	for i := len(u.heap)/2 - 1; i >= 0; i-- {
+		u.down(i)
 	}
 	return u, nil
 }
 
-func (u *unionStream) next() (uint32, bool, error) {
+// down restores the heap order below position i.
+func (u *unionStream) down(i int) {
+	h := u.heap
 	for {
-		min := int64(-1)
-		minI := -1
-		for i, h := range u.head {
-			if h >= 0 && (min < 0 || h < min) {
-				min, minI = h, i
-			}
+		m := 2*i + 1
+		if m >= len(h) {
+			return
 		}
-		if minI < 0 {
-			return 0, false, nil
+		if r := m + 1; r < len(h) && h[r] < h[m] {
+			m = r
 		}
-		v, ok, err := u.srcs[minI].next()
+		if h[i] <= h[m] {
+			return
+		}
+		h[i], h[m] = h[m], h[i]
+		i = m
+	}
+}
+
+func (u *unionStream) next() (uint32, bool, error) {
+	for len(u.heap) > 0 {
+		min, i := uint32(u.heap[0]>>32), uint32(u.heap[0])
+		v, ok, err := u.srcs[i].next()
 		if err != nil {
 			return 0, false, err
 		}
 		if !ok {
-			u.head[minI] = -1
+			n := len(u.heap) - 1
+			u.heap[0] = u.heap[n]
+			u.heap = u.heap[:n]
 		} else {
-			if int64(v) <= u.head[minI] {
-				return 0, false, fmt.Errorf("exec: unsorted sublist (id %d after %d)", v, u.head[minI])
+			if v <= min {
+				return 0, false, fmt.Errorf("exec: unsorted sublist (id %d after %d)", v, min)
 			}
-			u.head[minI] = int64(v)
+			u.heap[0] = uint64(v)<<32 | uint64(i)
 		}
-		if min != u.last { // dedup across sources
-			u.last = min
-			return uint32(min), true, nil
+		u.down(0)
+		if int64(min) != u.last { // dedup across sources
+			u.last = int64(min)
+			return min, true, nil
 		}
 	}
+	return 0, false, nil
 }
 
 func (u *unionStream) close() {

@@ -123,12 +123,16 @@ type Device struct {
 	// Physical state.
 	state      []uint8  // per physical page: free/valid/invalid
 	p2l        []int32  // physical page -> logical owner (for GC)
-	data       [][]byte // per block, lazily allocated PagesPerBlock*PageSize
 	blockValid []int32  // valid pages per block
 	blockInval []int32  // invalid pages per block
 	erases     []uint32 // wear: erase count per block
 	frontier   int      // physical page cursor for sequential programming
 	freePhys   int      // free physical pages remaining
+	// data holds each block's bytes, PagesPerBlock*PageSize, allocated
+	// lazily by program. An erased block, and a fully programmed block
+	// whose pages are all invalid, hold no host buffer: nothing reads
+	// them before the next program.
+	data [][]byte
 
 	c      Counters
 	closed bool
@@ -412,6 +416,14 @@ func (d *Device) program(data []byte) (int, error) {
 			return 0, err
 		}
 	}
+	return d.place(data, -1)
+}
+
+// place copies data into the first free physical page at or after the
+// frontier, passing over block skip: GC relocates a victim's valid pages
+// with skip set to the victim, so none lands in the block about to be
+// erased.
+func (d *Device) place(data []byte, skip int) (int, error) {
 	total := d.params.Blocks * d.params.PagesPerBlock
 	for scanned := 0; scanned < total; scanned++ {
 		pp := d.frontier
@@ -419,10 +431,10 @@ func (d *Device) program(data []byte) (int, error) {
 		if d.frontier == total {
 			d.frontier = 0
 		}
-		if d.state[pp] != physFree {
+		blk, off := pp/d.params.PagesPerBlock, pp%d.params.PagesPerBlock
+		if d.state[pp] != physFree || blk == skip {
 			continue
 		}
-		blk, off := pp/d.params.PagesPerBlock, pp%d.params.PagesPerBlock
 		if d.data[blk] == nil {
 			d.data[blk] = make([]byte, d.params.PagesPerBlock*d.params.PageSize)
 		}
@@ -445,6 +457,9 @@ func (d *Device) invalidate(pp int) {
 	d.p2l[pp] = -1
 	d.blockValid[blk]--
 	d.blockInval[blk]++
+	if d.blockValid[blk] == 0 && int(d.blockInval[blk]) == d.params.PagesPerBlock {
+		d.data[blk] = nil
+	}
 }
 
 // collect performs greedy garbage collection: pick the block with the most
@@ -479,25 +494,22 @@ func (d *Device) collect() error {
 func (d *Device) eraseBlock(b int) error {
 	ppb, psz := d.params.PagesPerBlock, d.params.PageSize
 	start := b * ppb
-	// Relocate still-valid pages.
+	// Relocate still-valid pages into other blocks. place runs no GC of
+	// its own, so a relocation can neither re-enter collect nor land in
+	// the block being erased.
 	for off := 0; off < ppb; off++ {
 		pp := start + off
 		if d.state[pp] != physValid {
 			continue
 		}
 		owner := d.p2l[pp]
-		page := d.data[b][off*psz : (off+1)*psz]
-		buf := make([]byte, psz)
-		copy(buf, page)
-		// Mark the source free *before* programming so the destination
-		// search can't loop back onto a full device.
-		d.state[pp] = physFree
-		d.blockValid[b]--
-		d.freePhys++
-		np, err := d.program(buf)
+		np, err := d.place(d.data[b][off*psz:(off+1)*psz], b)
 		if err != nil {
 			return err
 		}
+		d.state[pp] = physFree
+		d.blockValid[b]--
+		d.freePhys++
 		d.l2p[owner] = int32(np)
 		d.p2l[np] = owner
 		d.c.GCPageMoves++
@@ -515,6 +527,7 @@ func (d *Device) eraseBlock(b int) error {
 	}
 	d.blockInval[b] = 0
 	d.blockValid[b] = 0
+	d.data[b] = nil // program allocates afresh
 	d.erases[b]++
 	d.c.BlockErases++
 	return nil

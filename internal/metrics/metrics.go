@@ -88,10 +88,17 @@ func (m Model) Time(s Sample, throughputMBps float64) time.Duration {
 // see only their own direct activity (so the per-operator decomposition of
 // Figure 15 sums to the total).
 //
+// Attribution works by boundary charging: every span boundary (a begin
+// or an end) takes one snapshot of the flash and bus counters and charges
+// the delta since the previous boundary to the span that was innermost in
+// between. Activity while no span is open is never charged, so it stays
+// unattributed (the trace layer reports it as "other").
+//
 // A Collector is single-writer: Span/Reset must not be called
-// concurrently. Once collection quiesces, the snapshot accessors
-// (SampleOf, Names, Breakdown, TimeOf, CommTimeOf, FormatBreakdown) are
-// read-only and safe to call from any number of goroutines.
+// concurrently, and Reset requires that no span is open. Once collection
+// quiesces, the snapshot accessors (SampleOf, Names, Breakdown, TimeOf,
+// CommTimeOf, FormatBreakdown) are read-only and safe to call from any
+// number of goroutines.
 type Collector struct {
 	dev   *flash.Device
 	ch    *bus.Channel
@@ -101,20 +108,15 @@ type Collector struct {
 	// consistent speed even if the knob changes mid-collection.
 	mbps float64
 
-	spans map[string]Sample
-	order []string
-	stack []frame
-}
-
-type frame struct {
-	name  string
-	start Sample
-	child Sample
+	names   []string // span names in first-seen order
+	samples []Sample // parallel to names: each span's own activity
+	stack   []int    // open spans as indices into names, innermost last
+	mark    Sample   // counters at the previous boundary
 }
 
 // NewCollector creates a collector over the given device and channel.
 func NewCollector(dev *flash.Device, ch *bus.Channel, model Model) *Collector {
-	return &Collector{dev: dev, ch: ch, model: model, mbps: ch.ThroughputMBps(), spans: make(map[string]Sample)}
+	return &Collector{dev: dev, ch: ch, model: model, mbps: ch.ThroughputMBps()}
 }
 
 // Model returns the collector's cost model.
@@ -136,8 +138,9 @@ func (c *Collector) Reset() {
 	if len(c.stack) != 0 {
 		panic("metrics: reset with open spans")
 	}
-	c.spans = make(map[string]Sample)
-	c.order = c.order[:0]
+	c.names = c.names[:0]
+	c.samples = c.samples[:0]
+	c.mark = Sample{}
 	c.dev.ResetCounters()
 	c.ch.ResetCounters()
 }
@@ -151,39 +154,62 @@ func (c *Collector) Span(name string, f func() error) error {
 }
 
 func (c *Collector) begin(name string) {
-	c.stack = append(c.stack, frame{name: name, start: c.now()})
+	c.charge()
+	c.stack = append(c.stack, c.index(name))
 }
 
 func (c *Collector) end(name string) {
 	n := len(c.stack)
-	if n == 0 || c.stack[n-1].name != name {
+	if n == 0 || c.names[c.stack[n-1]] != name {
 		panic(fmt.Sprintf("metrics: unbalanced span %q", name))
 	}
-	fr := c.stack[n-1]
+	c.charge()
 	c.stack = c.stack[:n-1]
-	total := c.now().Sub(fr.start)
-	own := total.Sub(fr.child)
-	if _, seen := c.spans[name]; !seen {
-		c.order = append(c.order, name)
+}
+
+// charge snapshots the counters and charges the activity since the
+// previous boundary to the innermost open span, if any.
+func (c *Collector) charge() {
+	now := c.now()
+	if n := len(c.stack); n > 0 {
+		i := c.stack[n-1]
+		c.samples[i] = c.samples[i].Add(now.Sub(c.mark))
 	}
-	c.spans[name] = c.spans[name].Add(own)
-	if n > 1 {
-		c.stack[n-2].child = c.stack[n-2].child.Add(total)
+	c.mark = now
+}
+
+// index returns name's slot, appending a zero one on first sight. A
+// session opens about ten distinct names, so a linear scan beats a map.
+func (c *Collector) index(name string) int {
+	for i, n := range c.names {
+		if n == name {
+			return i
+		}
 	}
+	c.names = append(c.names, name)
+	c.samples = append(c.samples, Sample{})
+	return len(c.names) - 1
 }
 
 // SampleOf returns the accumulated activity of a span.
-func (c *Collector) SampleOf(name string) Sample { return c.spans[name] }
+func (c *Collector) SampleOf(name string) Sample {
+	for i, n := range c.names {
+		if n == name {
+			return c.samples[i]
+		}
+	}
+	return Sample{}
+}
 
 // TimeOf returns the simulated I/O time of a span (no communication).
 func (c *Collector) TimeOf(name string) time.Duration {
-	return c.model.IOTime(c.spans[name])
+	return c.model.IOTime(c.SampleOf(name))
 }
 
 // CommTimeOf returns the simulated communication time of a span, at the
 // link speed snapshotted when the collector was created.
 func (c *Collector) CommTimeOf(name string) time.Duration {
-	return c.model.CommTime(c.spans[name], c.mbps)
+	return c.model.CommTime(c.SampleOf(name), c.mbps)
 }
 
 // SimTimeOf returns a span's full simulated duration — I/O plus
@@ -192,13 +218,13 @@ func (c *Collector) CommTimeOf(name string) time.Duration {
 // Names() decomposes the session's attributed cost without double
 // counting; the trace layer builds its per-operator spans from this.
 func (c *Collector) SimTimeOf(name string) time.Duration {
-	return c.model.Time(c.spans[name], c.mbps)
+	return c.model.Time(c.SampleOf(name), c.mbps)
 }
 
 // Names returns the span names in first-seen order.
 func (c *Collector) Names() []string {
-	out := make([]string, len(c.order))
-	copy(out, c.order)
+	out := make([]string, len(c.names))
+	copy(out, c.names)
 	return out
 }
 
@@ -206,9 +232,9 @@ func (c *Collector) Names() []string {
 // included; use Device counters for grand totals. Breakdown returns the
 // per-span I/O times sorted by name for stable output.
 func (c *Collector) Breakdown() map[string]time.Duration {
-	out := make(map[string]time.Duration, len(c.spans))
-	for n, s := range c.spans {
-		out[n] = c.model.IOTime(s)
+	out := make(map[string]time.Duration, len(c.names))
+	for i, n := range c.names {
+		out[n] = c.model.IOTime(c.samples[i])
 	}
 	return out
 }
@@ -219,8 +245,9 @@ func (c *Collector) FormatBreakdown() string {
 	sort.Strings(names)
 	out := ""
 	for _, n := range names {
+		s := c.SampleOf(n)
 		out += fmt.Sprintf("%-10s %12v  (reads=%d writes=%d bytes=%d)\n",
-			n, c.TimeOf(n), c.spans[n].Flash.PageReads, c.spans[n].Flash.PageWrites, c.spans[n].Flash.BytesToRAM)
+			n, c.model.IOTime(s), s.Flash.PageReads, s.Flash.PageWrites, s.Flash.BytesToRAM)
 	}
 	return out
 }
