@@ -10,12 +10,27 @@
 // tuples; Secure must filter them out quickly (design rule 2, §2.3).
 // Untrusted compute is modeled as free — the paper's costs are dominated
 // by Secure-side I/O and the link.
+//
+// Vis and the planner's CountVis are served from sorted visible-column
+// indexes: per column a predicate touches, the row numbers ordered by
+// (encoded value, row), built on first use, kept current by InsertRow
+// and dropped by UpdateRows and LoadColumn. Each predicate binary-searches
+// to a span of its index, and the narrowest span's rows are checked
+// against the other conjuncts. The indexes are built from visible data
+// only and never leave this side; the ids, shipped bytes and counts they
+// produce are exactly those of a row-at-a-time scan, so neither the bus
+// nor the planner sees any difference.
 package untrusted
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"fmt"
+	"math"
+	"math/bits"
+	"slices"
+	"sort"
 	"sync"
 
 	"ghostdb/internal/bus"
@@ -45,12 +60,58 @@ type Engine struct {
 type tableStore struct {
 	rows int
 	cols []colStore // aligned with schema Columns; hidden slots empty
+	// idxMu serialises the lazy build of colStore.sorted: readers hold
+	// only the engine's read lock, so two of them may reach an unbuilt
+	// index at once. Writers hold the write lock and maintain or drop
+	// indexes without it.
+	idxMu sync.Mutex
 }
 
 type colStore struct {
 	width   int
 	data    []byte
 	present bool
+	// sorted is the column's visible-value index: every row number,
+	// ordered by (encoded value, row) under bytes.Compare — the order
+	// matches compares in. nil until a predicate first touches the
+	// column, and dropped whenever the column is rewritten.
+	sorted []uint32
+}
+
+// value returns the encoded value of one row.
+func (c *colStore) value(row uint32) []byte {
+	return c.data[int(row)*c.width : (int(row)+1)*c.width]
+}
+
+// cut returns the first position of the column's index whose value is
+// >= v, or > v when strict.
+func (c *colStore) cut(v []byte, strict bool) int {
+	return sort.Search(len(c.sorted), func(i int) bool {
+		r := bytes.Compare(c.value(c.sorted[i]), v)
+		return r > 0 || (r == 0 && !strict)
+	})
+}
+
+// index returns the sorted index of column ci, building it on first
+// use. The caller holds at least the engine's read lock.
+func (ts *tableStore) index(ci int) *colStore {
+	ts.idxMu.Lock()
+	defer ts.idxMu.Unlock()
+	c := &ts.cols[ci]
+	if c.sorted == nil {
+		perm := make([]uint32, ts.rows)
+		for i := range perm {
+			perm[i] = uint32(i)
+		}
+		slices.SortFunc(perm, func(a, b uint32) int {
+			if r := bytes.Compare(c.value(a), c.value(b)); r != 0 {
+				return r
+			}
+			return cmp.Compare(a, b)
+		})
+		c.sorted = perm
+	}
+	return c
 }
 
 // NewEngine creates an empty untrusted store for the schema.
@@ -112,12 +173,11 @@ func (e *Engine) Rows(table int) int {
 }
 
 // InsertRow appends the visible values of a new tuple (aligned with the
-// table's visible columns, in declaration order).
+// table's visible columns, in declaration order). Every value is encoded
+// before the store is touched, so a rejected row changes nothing.
 func (e *Engine) InsertRow(table int, visible []schema.Value) error {
 	t := e.sch.Tables[table]
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	ts := e.tables[table]
+	enc := make([][]byte, len(t.Columns))
 	vi := 0
 	for ci, col := range t.Columns {
 		if col.Hidden {
@@ -126,19 +186,36 @@ func (e *Engine) InsertRow(table int, visible []schema.Value) error {
 		if vi >= len(visible) {
 			return fmt.Errorf("untrusted: missing value for %s.%s", t.Name, col.Name)
 		}
-		w := col.EncodedWidth()
-		if !ts.cols[ci].present {
-			ts.cols[ci] = colStore{width: w, present: true}
-		}
-		buf := make([]byte, w)
-		if err := schema.EncodeValue(buf, visible[vi]); err != nil {
+		enc[ci] = make([]byte, col.EncodedWidth())
+		if err := schema.EncodeValue(enc[ci], visible[vi]); err != nil {
 			return fmt.Errorf("untrusted: %s.%s: %w", t.Name, col.Name, err)
 		}
-		ts.cols[ci].data = append(ts.cols[ci].data, buf...)
 		vi++
 	}
 	if vi != len(visible) {
 		return fmt.Errorf("untrusted: %d visible values for %d visible columns", len(visible), vi)
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	ts := e.tables[table]
+	row := uint32(ts.rows)
+	for ci, v := range enc {
+		if v == nil {
+			continue
+		}
+		c := &ts.cols[ci]
+		if !c.present {
+			*c = colStore{width: len(v), present: true}
+		}
+		c.data = append(c.data, v...)
+		if c.sorted != nil {
+			// The new row has the largest number, so it sorts after
+			// every row holding an equal value.
+			pos := c.cut(v, true)
+			c.sorted = append(c.sorted, 0)
+			copy(c.sorted[pos+1:], c.sorted[pos:])
+			c.sorted[pos] = row
+		}
 	}
 	ts.rows++
 	return nil
@@ -157,7 +234,7 @@ func (e *Engine) UpdateRows(table, colIdx int, ids []uint32, v schema.Value) err
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	ts := e.tables[table]
-	c := ts.cols[colIdx]
+	c := &ts.cols[colIdx]
 	if !c.present {
 		return fmt.Errorf("untrusted: column %s.%s not loaded", t.Name, t.Columns[colIdx].Name)
 	}
@@ -165,17 +242,24 @@ func (e *Engine) UpdateRows(table, colIdx int, ids []uint32, v schema.Value) err
 	if err := schema.EncodeValue(buf, v); err != nil {
 		return fmt.Errorf("untrusted: %s.%s: %w", t.Name, t.Columns[colIdx].Name, err)
 	}
+	// Validate every id before writing any, so a bad id leaves the
+	// column and its index as they were.
 	for _, id := range ids {
 		if int(id) >= ts.rows {
 			return fmt.Errorf("untrusted: row %d out of range for %q", id, t.Name)
 		}
-		copy(c.data[int(id)*c.width:(int(id)+1)*c.width], buf)
+	}
+	for _, id := range ids {
+		copy(c.value(id), buf)
+	}
+	if len(ids) > 0 {
+		c.sorted = nil
 	}
 	return nil
 }
 
 // matches evaluates one resolved predicate against a row.
-func (ts *tableStore) matches(p query.Pred, row int, lo, hi []byte) bool {
+func (ts *tableStore) matches(p query.Pred, row uint32, lo, hi []byte) bool {
 	if p.ColIdx == query.IDCol {
 		id := int64(row)
 		switch p.Op {
@@ -196,26 +280,118 @@ func (ts *tableStore) matches(p query.Pred, row int, lo, hi []byte) bool {
 		}
 		return false
 	}
-	c := ts.cols[p.ColIdx]
-	v := c.data[row*c.width : (row+1)*c.width]
-	cmp := bytes.Compare(v, lo)
+	v := ts.cols[p.ColIdx].value(row)
+	r := bytes.Compare(v, lo)
 	switch p.Op {
 	case sqlparse.OpEq:
-		return cmp == 0
+		return r == 0
 	case sqlparse.OpNe:
-		return cmp != 0
+		return r != 0
 	case sqlparse.OpLt:
-		return cmp < 0
+		return r < 0
 	case sqlparse.OpLe:
-		return cmp <= 0
+		return r <= 0
 	case sqlparse.OpGt:
-		return cmp > 0
+		return r > 0
 	case sqlparse.OpGe:
-		return cmp >= 0
+		return r >= 0
 	case sqlparse.OpBetween:
-		return cmp >= 0 && bytes.Compare(v, hi) <= 0
+		return r >= 0 && bytes.Compare(v, hi) <= 0
 	}
 	return false
+}
+
+// span is a half-open range [lo, hi) of positions in a key order.
+type span struct{ lo, hi int }
+
+// opSpans maps a comparison onto a key order of n positions: the rows
+// satisfying it are those at one span, or two for OpNe. cut(k, strict)
+// returns the first position whose key is >= bound k (0 for Lo, 1 for
+// Hi), or > it when strict.
+func opSpans(op sqlparse.CompareOp, n int, cut func(k int, strict bool) int) [2]span {
+	switch op {
+	case sqlparse.OpEq:
+		return [2]span{{cut(0, false), cut(0, true)}}
+	case sqlparse.OpNe:
+		return [2]span{{0, cut(0, false)}, {cut(0, true), n}}
+	case sqlparse.OpLt:
+		return [2]span{{0, cut(0, false)}}
+	case sqlparse.OpLe:
+		return [2]span{{0, cut(0, true)}}
+	case sqlparse.OpGt:
+		return [2]span{{cut(0, true), n}}
+	case sqlparse.OpGe:
+		return [2]span{{cut(0, false), n}}
+	case sqlparse.OpBetween:
+		lo := cut(0, false)
+		return [2]span{{lo, max(lo, cut(1, true))}}
+	}
+	return [2]span{}
+}
+
+// candidates is the row set a Vis conjunction is answered from: the
+// rows at spans of perm (or the row numbers themselves when perm is
+// nil). Every row satisfying the conjunction is among them, and every
+// one satisfies predicate drive, so only the other conjuncts are left to
+// check.
+type candidates struct {
+	perm  []uint32
+	spans [2]span
+	n     int // rows in the spans
+	drive int // index of the driving predicate, -1 when there is none
+}
+
+// narrowest binary-searches every predicate to its spans — of the row
+// range for an id predicate, of the column's sorted index otherwise —
+// and returns the smallest candidate set. With no predicates every row
+// is a candidate. The caller holds at least the engine's read lock.
+func (ts *tableStore) narrowest(preds []query.Pred, los, his [][]byte) candidates {
+	best := candidates{spans: [2]span{{0, ts.rows}}, n: ts.rows, drive: -1}
+	for i, p := range preds {
+		c := candidates{drive: i}
+		if p.ColIdx == query.IDCol {
+			bounds := [2]int64{p.Lo.I, p.Hi.I}
+			c.spans = opSpans(p.Op, ts.rows, func(k int, strict bool) int {
+				x := bounds[k]
+				if strict && x < math.MaxInt64 {
+					x++
+				}
+				return int(min(max(x, 0), int64(ts.rows)))
+			})
+		} else {
+			col := ts.index(p.ColIdx)
+			bounds := [2][]byte{los[i], his[i]}
+			c.perm = col.sorted
+			c.spans = opSpans(p.Op, ts.rows, func(k int, strict bool) int {
+				return col.cut(bounds[k], strict)
+			})
+		}
+		c.n = c.spans[0].hi - c.spans[0].lo + c.spans[1].hi - c.spans[1].lo
+		if i == 0 || c.n < best.n {
+			best = c
+		}
+	}
+	return best
+}
+
+// each calls fn, in candidate order, on every candidate row that
+// satisfies the conjuncts other than the driver.
+func (ts *tableStore) each(c *candidates, preds []query.Pred, los, his [][]byte, fn func(row uint32)) {
+	for _, s := range c.spans {
+	rows:
+		for i := s.lo; i < s.hi; i++ {
+			row := uint32(i)
+			if c.perm != nil {
+				row = c.perm[i]
+			}
+			for j, p := range preds {
+				if j != c.drive && !ts.matches(p, row, los[j], his[j]) {
+					continue rows
+				}
+			}
+			fn(row)
+		}
+	}
 }
 
 // VisResult is the product of the Vis operator (§3.3): the sorted list of
@@ -282,19 +458,12 @@ func (e *Engine) CountVis(table int, preds []query.Pred) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	n := 0
-	for row := 0; row < ts.rows; row++ {
-		ok := true
-		for i, p := range preds {
-			if !ts.matches(p, row, los[i], his[i]) {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			n++
-		}
+	c := ts.narrowest(preds, los, his)
+	if len(preds) < 2 {
+		return c.n, nil
 	}
+	n := 0
+	ts.each(&c, preds, los, his, func(uint32) { n++ })
 	return n, nil
 }
 
@@ -401,9 +570,9 @@ func (e *Engine) Vis(table int, preds []query.Pred, projCols []int) (*VisResult,
 	return res, nil
 }
 
-// computeVis is the uncached scan-and-encode: every row satisfying the
-// visible conjunction yields its id (and, with projCols, its encoded
-// visible values).
+// computeVis is the uncached evaluate-and-encode: every row satisfying
+// the visible conjunction yields its id (and, with projCols, its encoded
+// visible values), in ascending id order.
 func (e *Engine) computeVis(table int, preds []query.Pred, projCols []int) (*VisResult, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
@@ -424,25 +593,31 @@ func (e *Engine) computeVis(table int, preds []query.Pred, projCols []int) (*Vis
 		}
 		res.RowWidth += col.EncodedWidth()
 	}
-	for row := 0; row < ts.rows; row++ {
-		ok := true
-		for i, p := range preds {
-			if !ts.matches(p, row, los[i], his[i]) {
-				ok = false
-				break
-			}
-		}
-		if !ok {
-			continue
-		}
-		res.IDs = append(res.IDs, uint32(row))
+	// Candidates come in index order; a bitmap over the rows puts the
+	// matches back in ascending id order.
+	c := ts.narrowest(preds, los, his)
+	hit := make([]uint64, (ts.rows+63)/64)
+	n := 0
+	ts.each(&c, preds, los, his, func(row uint32) {
+		hit[row/64] |= 1 << (row % 64)
+		n++
+	})
+	if n > 0 {
+		res.IDs = make([]uint32, 0, n)
 		if len(projCols) > 0 {
-			var idb [store.IDBytes]byte
-			binary.BigEndian.PutUint32(idb[:], uint32(row))
-			res.Rows = append(res.Rows, idb[:]...)
-			for _, ci := range projCols {
-				c := ts.cols[ci]
-				res.Rows = append(res.Rows, c.data[row*c.width:(row+1)*c.width]...)
+			res.Rows = make([]byte, 0, n*res.RowWidth)
+		}
+	}
+	for w, bitsLeft := range hit {
+		for bitsLeft != 0 {
+			row := uint32(w*64 + bits.TrailingZeros64(bitsLeft))
+			bitsLeft &= bitsLeft - 1
+			res.IDs = append(res.IDs, row)
+			if len(projCols) > 0 {
+				res.Rows = binary.BigEndian.AppendUint32(res.Rows, row)
+				for _, ci := range projCols {
+					res.Rows = append(res.Rows, ts.cols[ci].value(row)...)
+				}
 			}
 		}
 	}
@@ -464,9 +639,9 @@ func (e *Engine) Value(table, colIdx int, id uint32) (schema.Value, error) {
 	defer e.mu.RUnlock()
 	t := e.sch.Tables[table]
 	ts := e.tables[table]
-	c := ts.cols[colIdx]
+	c := &ts.cols[colIdx]
 	if !c.present {
 		return schema.Value{}, fmt.Errorf("untrusted: column %s.%s not loaded", t.Name, t.Columns[colIdx].Name)
 	}
-	return schema.DecodeValue(c.data[int(id)*c.width:(int(id)+1)*c.width], t.Columns[colIdx].Kind)
+	return schema.DecodeValue(c.value(id), t.Columns[colIdx].Kind)
 }
